@@ -8,6 +8,10 @@
 namespace vifi::channel {
 
 namespace {
+// Node ids are dense (testbeds number BSes, vehicles and the wired host
+// from 0); a bound keeps a stray large id from sizing the cache.
+constexpr int kMaxCachedNode = 1 << 16;
+
 std::string link_name(const char* prefix, NodeId a, NodeId b) {
   return std::string(prefix) + "/" + std::to_string(a.value()) + "/" +
          std::to_string(b.value());
@@ -27,6 +31,17 @@ VehicularChannel::VehicularChannel(VehicularChannelParams params,
 void VehicularChannel::mark_mobile(NodeId node) {
   VIFI_EXPECTS(node.valid());
   mobile_ids_.insert(node);
+  last_.valid = false;  // the node now carries a fade term
+}
+
+mobility::Vec2 VehicularChannel::position(NodeId node, Time now) const {
+  if (!node.valid() || node.value() >= kMaxCachedNode)
+    return positions_(node, now);
+  const auto i = static_cast<std::size_t>(node.value());
+  if (i >= positions_at_.size()) positions_at_.resize(i + 1);
+  CachedPosition& c = positions_at_[i];
+  if (!c.valid || c.at != now) c = {now, positions_(node, now), true};
+  return c.pos;
 }
 
 VehicularChannel::LinkState& VehicularChannel::link_state(NodeId tx,
@@ -76,15 +91,19 @@ VehicularChannel::NodeState* VehicularChannel::node_state(NodeId n) const {
 
 double VehicularChannel::geometric_reception_prob(NodeId tx, NodeId rx,
                                                   Time now) const {
-  const double d =
-      mobility::distance(positions_(tx, now), positions_(rx, now));
+  const double d = mobility::distance(position(tx, now), position(rx, now));
   return curve_.reception_prob(d);
 }
 
 double VehicularChannel::instantaneous_prob(NodeId tx, NodeId rx,
                                             Time now) const {
-  const double d =
-      mobility::distance(positions_(tx, now), positions_(rx, now));
+  if (!last_.valid || last_.tx != tx || last_.rx != rx || last_.now != now)
+    last_ = {tx, rx, now, evaluate(tx, rx, now), true};
+  return last_.p;
+}
+
+double VehicularChannel::evaluate(NodeId tx, NodeId rx, Time now) const {
+  const double d = mobility::distance(position(tx, now), position(rx, now));
   if (d > curve_.cutoff_m()) return 0.0;
   double p = curve_.reception_prob(d);
   if (link_state(tx, rx).ge_bad.on_at(now)) p *= params_.ge_bad_multiplier;

@@ -14,11 +14,21 @@
 /// P(loss_{i+k} | loss_i) decaying from ~0.7 to the unconditional rate) and
 /// Fig. 6(b) (losses nearly independent across BSes — the common-mode fade
 /// supplies the paper's small residual correlation).
+///
+/// Per-instant caching. Everything a link evaluation reads is a function of
+/// (tx, rx, now) within one instant: positions are a pure function of
+/// (node, time) and a TwoStateProcess queried again at the same `now`
+/// neither advances nor draws. The channel therefore keeps two exact caches
+/// per instance: each node's position stamped with its query time, and the
+/// last (tx, rx, now) -> probability evaluation, so the medium's
+/// reception_prob() + sample_delivery() pair on one link costs one
+/// evaluation. sample_delivery() still draws its Bernoulli on every call.
 
 #include <functional>
 #include <memory>
 #include <unordered_map>
 #include <unordered_set>
+#include <vector>
 
 #include "channel/distance_loss.h"
 #include "channel/loss_model.h"
@@ -53,7 +63,9 @@ struct VehicularChannelParams {
 /// Stochastic per-link delivery model; see file comment.
 class VehicularChannel final : public LossModel {
  public:
-  /// \p positions maps any registered node to its position at a time.
+  /// \p positions maps any registered node to its position at a time. It
+  /// must be a pure function of (node, time): the channel caches its
+  /// answers per node for the query instant.
   using PositionFn = std::function<mobility::Vec2(NodeId, Time)>;
 
   VehicularChannel(VehicularChannelParams params, PositionFn positions,
@@ -85,6 +97,21 @@ class VehicularChannel final : public LossModel {
   PathState& path_state(NodeId a, NodeId b) const;
   NodeState* node_state(NodeId n) const;  // nullptr if not mobile
   double instantaneous_prob(NodeId tx, NodeId rx, Time now) const;
+  double evaluate(NodeId tx, NodeId rx, Time now) const;
+  mobility::Vec2 position(NodeId node, Time now) const;
+
+  struct CachedPosition {
+    Time at;
+    mobility::Vec2 pos;
+    bool valid = false;
+  };
+  struct LastEval {
+    NodeId tx;
+    NodeId rx;
+    Time now;
+    double p = 0.0;
+    bool valid = false;
+  };
 
   VehicularChannelParams params_;
   DistanceLossCurve curve_;
@@ -95,6 +122,9 @@ class VehicularChannel final : public LossModel {
   mutable std::unordered_map<NodeId, NodeState> mobile_;
   std::unordered_set<NodeId> mobile_ids_;
   mutable Rng draw_rng_;
+  /// Indexed by node id; ids at or past kMaxCachedNode bypass the cache.
+  mutable std::vector<CachedPosition> positions_at_;
+  mutable LastEval last_;
 };
 
 }  // namespace vifi::channel

@@ -31,41 +31,58 @@ Medium::Medium(sim::Simulator& sim, channel::LossModel& loss,
 void Medium::attach(NodeId node, FrameSink* sink) {
   VIFI_EXPECTS(node.valid());
   VIFI_EXPECTS(sink != nullptr);
-  VIFI_EXPECTS(!sinks_.contains(node));
-  sinks_[node] = sink;
-  nodes_.push_back(node);
-  ledger_[node];  // materialise the row so snapshots list every node
-  if (params_.culling) {
-    node_index_[node] = nodes_.size() - 1;
-    cull_cell_.emplace_back(0, 0);
-    cull_channel_.push_back(params_.culling->channel_of
-                                ? params_.culling->channel_of(node)
-                                : 0);
-    cull_fresh_ = false;  // the new node needs a cell before the next frame
-  }
+  VIFI_EXPECTS(row_index(node) < 0);
+  const auto id = static_cast<std::size_t>(node.value());
+  if (id >= row_by_id_.size()) row_by_id_.resize(id + 1, -1);
+  row_by_id_[id] = static_cast<std::int32_t>(rows_.size());
+  Row& r = rows_.emplace_back();
+  r.node = node;
+  r.sink = sink;
+  if (params_.culling && params_.culling->channel_of)
+    r.channel = params_.culling->channel_of(node);
+  cull_fresh_ = false;  // the new node needs a cell before the next frame
+}
+
+std::int32_t Medium::row_index(NodeId node) const {
+  const auto id = static_cast<std::size_t>(node.value());
+  return node.valid() && id < row_by_id_.size() ? row_by_id_[id] : -1;
+}
+
+std::size_t Medium::row_of(NodeId node) const {
+  const std::int32_t i = row_index(node);
+  VIFI_EXPECTS(i >= 0);
+  return static_cast<std::size_t>(i);
+}
+
+void Medium::hear(Row& row, Time start, Time end) {
+  row.heard_until = std::max(row.heard_until, end);
+  ++row.heard;
+  row.heard_at_last_start =
+      row.last_heard_start == start ? row.heard_at_last_start + 1 : 1;
+  row.last_heard_start = start;
 }
 
 void Medium::refresh_cells(Time now) {
   const SpatialCulling& c = *params_.culling;
   if (cull_fresh_ && now - cull_refreshed_ < c.refresh) return;
-  for (std::size_t i = 0; i < nodes_.size(); ++i) {
-    const mobility::Vec2 p = c.position(nodes_[i], now);
-    cull_cell_[i] = {static_cast<std::int32_t>(std::floor(p.x / cull_cell_size_)),
-                     static_cast<std::int32_t>(std::floor(p.y / cull_cell_size_))};
+  for (Row& r : rows_) {
+    const mobility::Vec2 p = c.position(r.node, now);
+    r.cell = {static_cast<std::int32_t>(std::floor(p.x / cull_cell_size_)),
+              static_cast<std::int32_t>(std::floor(p.y / cull_cell_size_))};
   }
   cull_refreshed_ = now;
   cull_fresh_ = true;
 }
 
-bool Medium::culled(std::size_t tx_idx, std::size_t rx_idx) const {
-  if (cull_channel_[tx_idx] != cull_channel_[rx_idx]) return true;
+bool Medium::culled(std::size_t tx_row, std::size_t rx_row) const {
+  if (rows_[tx_row].channel != rows_[rx_row].channel) return true;
   // Two points in cells (di, dj) apart are at least
   // hypot(max(0,|di|-1), max(0,|dj|-1)) * cell apart. Cull only when that
   // floor exceeds max_audible + 2*margin: the pair was provably out of
   // audible range at refresh time, and the margin absorbs what both
   // endpoints can have moved since.
-  const auto [ax, ay] = cull_cell_[tx_idx];
-  const auto [bx, by] = cull_cell_[rx_idx];
+  const auto [ax, ay] = rows_[tx_row].cell;
+  const auto [bx, by] = rows_[rx_row].cell;
   const double dx =
       std::max(0, std::abs(ax - bx) - 1) * cull_cell_size_;
   const double dy =
@@ -74,16 +91,12 @@ bool Medium::culled(std::size_t tx_idx, std::size_t rx_idx) const {
 }
 
 void Medium::set_role(NodeId node, NodeRole role) {
-  const auto it = ledger_.find(node);
-  VIFI_EXPECTS(it != ledger_.end());
-  it->second.role = role;
+  rows_[row_of(node)].air.role = role;
 }
 
 void Medium::note_deferral(NodeId node, Time wait) {
   VIFI_EXPECTS(!wait.is_negative());
-  const auto it = ledger_.find(node);
-  VIFI_EXPECTS(it != ledger_.end());
-  it->second.deferral_wait += wait;
+  rows_[row_of(node)].air.deferral_wait += wait;
 }
 
 Time Medium::airtime(int mac_bytes) const {
@@ -95,20 +108,21 @@ Time Medium::airtime(int mac_bytes) const {
 
 Time Medium::transmit(Frame frame) {
   VIFI_EXPECTS(frame.tx.valid());
-  VIFI_EXPECTS(sinks_.contains(frame.tx));
   const Time now = sim_.now();
   prune(now);
 
   ActiveTx tx;
   tx.seq = next_seq_++;
-  tx.tx = frame.tx;
+  tx.tx_row = row_of(frame.tx);
   tx.start = now;
   tx.end = now + airtime(frame.bytes_on_air());
+  VIFI_EXPECTS(tx.end > now);
   tx.frame = std::move(frame);
+  const NodeId sender = tx.frame.tx;
 
   obs::TraceRecorder* rec = obs::current_recorder();
   if (rec)
-    rec->record(obs::EventKind::FrameTx, now, tx.tx, tx.frame.data.hop_dst,
+    rec->record(obs::EventKind::FrameTx, now, sender, tx.frame.data.hop_dst,
                 tx.frame.data.packet_id, (tx.end - tx.start).to_seconds(),
                 static_cast<double>(tx.frame.data.attempt),
                 static_cast<std::int32_t>(tx.frame.type));
@@ -119,40 +133,34 @@ Time Medium::transmit(Frame frame) {
   // the sampling entirely; the survivors keep attach order, so the shared
   // draw sequence stays a deterministic function of positions + schedule.
   const bool cull = params_.culling.has_value();
-  std::size_t tx_idx = 0;
-  if (cull) {
-    refresh_cells(now);
-    tx_idx = node_index_.at(tx.tx);
-  }
-  for (std::size_t i = 0; i < nodes_.size(); ++i) {
-    const NodeId rx = nodes_[i];
-    if (rx == tx.tx) continue;
-    if (cull && culled(tx_idx, i)) continue;
-    const double p = loss_.reception_prob(tx.tx, rx, now);
-    if (p >= params_.audibility_threshold) tx.audible_at.push_back(rx);
-    NodeAirtime& rx_row = ledger_.at(rx);
-    ++rx_row.decode_attempts;
-    ++decode_attempts_;
+  if (cull) refresh_cells(now);
+  for (std::size_t i = 0; i < rows_.size(); ++i) {
+    if (i == tx.tx_row) continue;
+    if (cull && culled(tx.tx_row, i)) continue;
+    Row& rx = rows_[i];
+    const double p = loss_.reception_prob(sender, rx.node, now);
+    // Read before this frame's own contribution: any frame heard here that
+    // ends after now overlaps this one.
+    const bool overlapped_earlier = rx.heard_until > now;
+    if (p >= params_.audibility_threshold) hear(rx, now, tx.end);
+    ++rx.air.decode_attempts;
     // Decode sampling also advances burst state for sub-threshold links,
     // keeping the stochastic processes in sync with wall-clock time.
-    if (loss_.sample_delivery(tx.tx, rx, now)) {
-      tx.decoders.push_back(rx);
+    if (loss_.sample_delivery(sender, rx.node, now)) {
+      tx.decoders.push_back({i, rx.heard, overlapped_earlier});
       if (rec)
-        rec->record(obs::EventKind::FrameDecode, now, rx, tx.tx,
+        rec->record(obs::EventKind::FrameDecode, now, rx.node, sender,
                     tx.frame.data.packet_id, p, 0.0,
                     static_cast<std::int32_t>(tx.frame.type));
     } else {
-      ++rx_row.channel_losses;
-      ++channel_losses_;
+      ++rx.air.channel_losses;
     }
   }
 
-  ++transmissions_;
-  const Time held = tx.end - tx.start;
-  busy_airtime_ += held;
-  NodeAirtime& tx_row = ledger_.at(tx.tx);
-  ++tx_row.frames_tx;
-  tx_row.tx_airtime += held;
+  Row& tx_row = rows_[tx.tx_row];
+  hear(tx_row, now, tx.end);
+  ++tx_row.air.frames_tx;
+  tx_row.air.tx_airtime += tx.end - tx.start;
   const std::uint64_t seq = tx.seq;
   const Time end = tx.end;
   active_.push_back(std::move(tx));
@@ -161,75 +169,63 @@ Time Medium::transmit(Frame frame) {
 }
 
 void Medium::finish(std::uint64_t seq) {
-  const auto it = std::find_if(active_.begin(), active_.end(),
-                               [seq](const ActiveTx& t) { return t.seq == seq; });
-  VIFI_EXPECTS(it != active_.end());
-  // Frame sinks may synchronously transmit (e.g. an ACK), which appends to
-  // active_ — a deque, so this record stays put — and tries to prune, which
-  // is deferred while delivering_. The record therefore stays addressable
-  // (no defensive deep copy of the frame), and transmissions that start
-  // during this one still see it for their own collision checks.
-  const ActiveTx& tx = *it;
+  // Records are kept in seq order and only pruned from the front. Frame
+  // sinks may synchronously transmit (e.g. an ACK), which appends to
+  // active_ — a deque, so this record stays put — and tries to prune,
+  // which is deferred while delivering_.
+  VIFI_EXPECTS(!active_.empty() && seq - active_.front().seq < active_.size());
+  const ActiveTx& tx = active_[seq - active_.front().seq];
 
-  // Resolve collisions against the snapshot of overlapping transmissions
-  // before dispatching anything.
+  // Resolve every decoder before dispatching anything.
   obs::TraceRecorder* rec = obs::current_recorder();
+  const Time held = tx.end - tx.start;
+  Row& tx_row = rows_[tx.tx_row];
   deliver_scratch_.clear();
-  for (NodeId rx : tx.decoders) {
+  for (const Decoder& d : tx.decoders) {
+    Row& rx = rows_[d.row];
     bool collided = false;
     if (params_.model_collisions) {
-      for (const ActiveTx& other : active_) {
-        if (other.seq == tx.seq) continue;
-        const bool overlaps =
-            other.start < tx.end && tx.start < other.end;
-        if (!overlaps) continue;
-        if (std::find(other.audible_at.begin(), other.audible_at.end(), rx) !=
-                other.audible_at.end() ||
-            other.tx == rx) {
-          collided = true;
-          break;
-        }
-      }
+      // Frames heard at rx since this one started, minus those starting
+      // exactly at its end (overlap is strict).
+      std::uint64_t later = rx.heard - d.heard_at_start;
+      if (rx.last_heard_start == tx.end) later -= rx.heard_at_last_start;
+      collided = d.overlapped_earlier || later > 0;
     }
-    const Time held = tx.end - tx.start;
     if (collided) {
-      ++collisions_;
-      ++ledger_.at(tx.tx).frames_collided;
-      NodeAirtime& rx_row = ledger_.at(rx);
-      ++rx_row.collisions_seen;
-      rx_row.collided_airtime += held;
+      ++tx_row.air.frames_collided;
+      ++rx.air.collisions_seen;
+      rx.air.collided_airtime += held;
       if (rec)
-        rec->record(obs::EventKind::FrameCollide, sim_.now(), rx, tx.tx,
-                    tx.frame.data.packet_id, 0.0, 0.0,
+        rec->record(obs::EventKind::FrameCollide, sim_.now(), rx.node,
+                    tx.frame.tx, tx.frame.data.packet_id, 0.0, 0.0,
                     static_cast<std::int32_t>(tx.frame.type));
     } else {
-      ++ledger_.at(tx.tx).frames_delivered;
-      NodeAirtime& rx_row = ledger_.at(rx);
-      ++rx_row.frames_received;
-      rx_row.rx_airtime += held;
-      deliver_scratch_.push_back(rx);
+      ++tx_row.air.frames_delivered;
+      ++rx.air.frames_received;
+      rx.air.rx_airtime += held;
+      deliver_scratch_.push_back(d.row);
     }
   }
+  // Sinks may attach nodes, so rows are re-indexed per dispatch.
   delivering_ = true;
-  for (NodeId rx : deliver_scratch_) {
-    ++deliveries_;
+  for (std::size_t i : deliver_scratch_) {
     if (rec)
-      rec->record(obs::EventKind::FrameDeliver, sim_.now(), rx, tx.tx,
-                  tx.frame.data.packet_id, 0.0, 0.0,
+      rec->record(obs::EventKind::FrameDeliver, sim_.now(), rows_[i].node,
+                  tx.frame.tx, tx.frame.data.packet_id, 0.0, 0.0,
                   static_cast<std::int32_t>(tx.frame.type));
-    sinks_.at(rx)->on_frame(tx.frame);
+    rows_[i].sink->on_frame(tx.frame);
   }
   delivering_ = false;
 }
 
 void Medium::prune(Time now) {
-  // A finished transmission can only matter to transmissions overlapping
-  // it; anything ended more than a max-frame-time ago is irrelevant.
-  // Deferred while finish() is dispatching out of active_.
+  // A finished transmission is kept a max-frame-time past its end, then
+  // dropped; records are only consulted by their own finish(). Deferred
+  // while finish() is dispatching out of active_.
   if (delivering_) return;
   const Time keep_after = now - airtime(2000);
-  std::erase_if(active_,
-                [keep_after](const ActiveTx& t) { return t.end < keep_after; });
+  while (!active_.empty() && active_.front().end < keep_after)
+    active_.pop_front();
 }
 
 bool Medium::busy_for(NodeId listener, Time now) {
@@ -237,57 +233,55 @@ bool Medium::busy_for(NodeId listener, Time now) {
 }
 
 Time Medium::busy_until(NodeId listener, Time now) {
-  // Prune here too: a node that only listens (never transmits) must not
-  // scan — or, worse, depend on — records whose eviction would otherwise
-  // wait for someone else's transmit(). The end-time check below keeps
-  // the answer right for records inside the keep window regardless.
-  // Clamped to the simulation clock: a query about a future instant must
-  // not evict a still-in-flight record out from under its finish() event.
-  prune(std::min(now, sim_.now()));
-  Time until = now;
-  for (const ActiveTx& t : active_) {
-    if (t.end <= now) continue;
-    if (t.tx == listener) {
-      until = std::max(until, t.end);
-      continue;
-    }
-    if (std::find(t.audible_at.begin(), t.audible_at.end(), listener) !=
-        t.audible_at.end())
-      until = std::max(until, t.end);
-  }
-  return until;
+  VIFI_EXPECTS(now >= sim_.now());
+  // Prune here too, so a node that only listens still lets records go.
+  // At the simulation clock, not \p now: a query about a future instant
+  // must not evict a still-in-flight record out from under its finish().
+  prune(sim_.now());
+  const std::int32_t i = row_index(listener);
+  return i < 0 ? now
+               : std::max(now, rows_[static_cast<std::size_t>(i)].heard_until);
+}
+
+std::uint64_t Medium::sum(std::uint64_t NodeAirtime::* field) const {
+  std::uint64_t total = 0;
+  for (const Row& r : rows_) total += r.air.*field;
+  return total;
 }
 
 std::uint64_t Medium::transmissions_from(NodeId node) const {
-  const auto it = ledger_.find(node);
-  return it == ledger_.end() ? 0 : it->second.frames_tx;
+  const std::int32_t i = row_index(node);
+  return i < 0 ? 0 : rows_[static_cast<std::size_t>(i)].air.frames_tx;
 }
 
 MediumStats Medium::snapshot() const {
   MediumStats s;
-  s.busy_airtime = busy_airtime_;
-  s.transmissions = transmissions_;
-  s.deliveries = deliveries_;
-  s.collisions = collisions_;
-  s.channel_losses = channel_losses_;
-  s.decode_attempts = decode_attempts_;
-  s.nodes.insert(ledger_.begin(), ledger_.end());
+  for (const Row& r : rows_) {
+    s.busy_airtime += r.air.tx_airtime;
+    s.nodes.emplace(r.node, r.air);
+  }
+  s.transmissions = transmissions();
+  s.deliveries = deliveries();
+  s.collisions = collisions();
+  s.channel_losses = channel_losses();
+  s.decode_attempts = decode_attempts();
   return s;
 }
 
 void Medium::publish(obs::MetricsRegistry& registry) const {
-  registry.counter("mac.transmissions").add(static_cast<double>(transmissions_));
-  registry.counter("mac.deliveries").add(static_cast<double>(deliveries_));
-  registry.counter("mac.collisions").add(static_cast<double>(collisions_));
-  registry.counter("mac.channel_losses")
-      .add(static_cast<double>(channel_losses_));
-  registry.counter("mac.decode_attempts")
-      .add(static_cast<double>(decode_attempts_));
-  registry.counter("mac.busy_airtime_s").add(busy_airtime_.to_seconds());
-
   // Per-node rows through the ordered snapshot so key insertion order (and
   // with it first-registration cost) is deterministic.
   const MediumStats s = snapshot();
+  registry.counter("mac.transmissions")
+      .add(static_cast<double>(s.transmissions));
+  registry.counter("mac.deliveries").add(static_cast<double>(s.deliveries));
+  registry.counter("mac.collisions").add(static_cast<double>(s.collisions));
+  registry.counter("mac.channel_losses")
+      .add(static_cast<double>(s.channel_losses));
+  registry.counter("mac.decode_attempts")
+      .add(static_cast<double>(s.decode_attempts));
+  registry.counter("mac.busy_airtime_s").add(s.busy_airtime.to_seconds());
+
   for (const auto& [node, row] : s.nodes) {
     const obs::Labels labels = {{"node", node.to_string()},
                                 {"role", to_string(row.role)}};

@@ -7,17 +7,22 @@
 /// the same receiver destroy each other there (no capture). CSMA deferral
 /// lives in Radio; the medium answers "is the channel busy for me?".
 ///
-/// Besides the global counters, the medium keeps an airtime ledger: one
-/// NodeAirtime row per attached node, reconciling exactly with the global
-/// counters (see airtime.h for the counting model) and snapshotted as
-/// MediumStats for fairness analysis.
+/// One row per attached node holds its airtime ledger (NodeAirtime, see
+/// airtime.h; snapshotted as MediumStats) and the O(1) carrier-sense and
+/// collision state; the global counters are sums of the rows. A frame is
+/// *heard* at a node if it is audible there at start-of-frame or the node
+/// sent it. With heard_until = latest end of any frame heard at a node:
+///  - busy_until(n, now) = max(now, heard_until[n]);
+///  - a decode at rx collides with an earlier overlapping frame iff
+///    heard_until[rx] > start before this frame is heard, and with a later
+///    one iff rx heard more frames by the end than right after this frame
+///    started, excluding frames starting exactly at the end (overlap is
+///    strict at both ends; frames must have positive airtime).
 
 #include <cstdint>
 #include <deque>
 #include <functional>
-#include <map>
 #include <optional>
-#include <unordered_map>
 #include <vector>
 
 #include "channel/loss_model.h"
@@ -53,7 +58,8 @@ namespace vifi::mac {
 /// every-node broadcast byte-for-byte.
 struct SpatialCulling {
   /// Position of any attached node at a time (e.g. Testbed::position_fn();
-  /// the provider must outlive the medium).
+  /// the provider must outlive the medium). Must be a pure function of
+  /// (node, time), like VehicularChannel::PositionFn.
   std::function<mobility::Vec2(NodeId, Time)> position;
   /// Links longer than this are provably sub-audibility.
   double max_audible_m = 250.0;
@@ -73,7 +79,9 @@ struct SpatialCulling {
 };
 
 struct MediumParams {
-  double bitrate_bps = 1e6;      ///< Fixed 802.11b broadcast rate (§5.1).
+  /// Fixed 802.11b broadcast rate (§5.1). Every frame's airtime must round
+  /// to at least one microsecond.
+  double bitrate_bps = 1e6;
   int phy_overhead_bytes = 24;   ///< PLCP preamble/header equivalent.
   /// Links with current reception probability above this are "audible" for
   /// carrier sense and collision purposes.
@@ -122,21 +130,28 @@ class Medium {
   /// Airtime of a frame with the given MAC-body size.
   Time airtime(int mac_bytes) const;
 
-  /// True if any in-progress transmission is audible at \p listener.
-  /// Prunes long-finished records first, so the answer (and the scan cost)
-  /// never depends on when a transmit() last happened to prune.
+  /// True if any in-progress transmission is heard at \p listener.
   bool busy_for(NodeId listener, Time now);
 
-  /// Latest end time among transmissions audible at \p listener
-  /// (now if the channel is idle for them). Prunes like busy_for().
+  /// Latest end time among transmissions heard at \p listener (now if the
+  /// channel is idle for them). O(1); \p now must not precede the clock.
   Time busy_until(NodeId listener, Time now);
 
-  std::uint64_t transmissions() const { return transmissions_; }
+  /// Global counters: sums over the per-node rows, O(nodes) each.
+  std::uint64_t transmissions() const { return sum(&NodeAirtime::frames_tx); }
   std::uint64_t transmissions_from(NodeId node) const;
-  std::uint64_t collisions() const { return collisions_; }
-  std::uint64_t deliveries() const { return deliveries_; }
-  std::uint64_t channel_losses() const { return channel_losses_; }
-  std::uint64_t decode_attempts() const { return decode_attempts_; }
+  std::uint64_t collisions() const {
+    return sum(&NodeAirtime::collisions_seen);
+  }
+  std::uint64_t deliveries() const {
+    return sum(&NodeAirtime::frames_received);
+  }
+  std::uint64_t channel_losses() const {
+    return sum(&NodeAirtime::channel_losses);
+  }
+  std::uint64_t decode_attempts() const {
+    return sum(&NodeAirtime::decode_attempts);
+  }
 
   /// Consistent copy of the global counters and the per-node ledger.
   MediumStats snapshot() const;
@@ -153,54 +168,68 @@ class Medium {
   const MediumParams& params() const { return params_; }
 
  private:
+  /// One attached node, in attach order.
+  struct Row {
+    NodeId node;
+    FrameSink* sink = nullptr;
+    NodeAirtime air;
+    Time heard_until;
+    /// Frames heard here, and how many of them started at last_heard_start.
+    std::uint64_t heard = 0;
+    Time last_heard_start;
+    std::uint64_t heard_at_last_start = 0;
+    /// Spatial-culling cell and channel; unused when culling is off.
+    std::pair<std::int32_t, std::int32_t> cell{0, 0};
+    int channel = 0;
+  };
+
+  /// A node that sampled a successful decode at start-of-frame, with its
+  /// heard count right after this frame started and whether an earlier
+  /// frame heard there overlaps this one.
+  struct Decoder {
+    std::size_t row = 0;
+    std::uint64_t heard_at_start = 0;
+    bool overlapped_earlier = false;
+  };
+
   struct ActiveTx {
     std::uint64_t seq = 0;
-    NodeId tx;
+    std::size_t tx_row = 0;
     Time start;
     Time end;
     Frame frame;
-    /// Nodes that sampled a successful decode at start-of-frame.
-    std::vector<NodeId> decoders;
-    /// Nodes at which this transmission is audible as energy (interference).
-    std::vector<NodeId> audible_at;
+    std::vector<Decoder> decoders;
   };
+
+  /// Index into rows_ of \p node, or -1 when it is not attached.
+  std::int32_t row_index(NodeId node) const;
+  /// Index into rows_ of an attached node (contract violation otherwise).
+  std::size_t row_of(NodeId node) const;
+  static void hear(Row& row, Time start, Time end);
+  std::uint64_t sum(std::uint64_t NodeAirtime::* field) const;
 
   void finish(std::uint64_t seq);
   void prune(Time now);
   void refresh_cells(Time now);
-  bool culled(std::size_t tx_idx, std::size_t rx_idx) const;
+  bool culled(std::size_t tx_row, std::size_t rx_row) const;
 
   sim::Simulator& sim_;
   channel::LossModel& loss_;
   MediumParams params_;
-  std::unordered_map<NodeId, FrameSink*> sinks_;
-  std::vector<NodeId> nodes_;
-  /// Spatial-culling state, parallel to nodes_ (attach order); empty and
-  /// unused when params_.culling is unset.
-  std::vector<std::pair<std::int32_t, std::int32_t>> cull_cell_;
-  std::vector<int> cull_channel_;
-  std::unordered_map<NodeId, std::size_t> node_index_;
+  std::vector<Row> rows_;
+  /// NodeId value -> index into rows_, -1 when not attached.
+  std::vector<std::int32_t> row_by_id_;
   Time cull_refreshed_;
   bool cull_fresh_ = false;
   double cull_cell_size_ = 0.0;
   double cull_range_sq_ = 0.0;  ///< (max_audible + 2*margin)^2, m^2.
-  /// Includes recently finished transmissions, pruned lazily. A deque so
+  /// Transmissions in seq order, pruned lazily from the front. A deque so
   /// records stay put while finish() dispatches from them even if a sink
   /// synchronously transmits (appends); prune is deferred meanwhile.
   std::deque<ActiveTx> active_;
-  std::vector<NodeId> deliver_scratch_;  ///< Reused by finish().
+  std::vector<std::size_t> deliver_scratch_;  ///< Reused by finish().
   bool delivering_ = false;
   std::uint64_t next_seq_ = 1;
-  std::uint64_t transmissions_ = 0;
-  std::uint64_t collisions_ = 0;
-  std::uint64_t deliveries_ = 0;
-  std::uint64_t channel_losses_ = 0;
-  std::uint64_t decode_attempts_ = 0;
-  Time busy_airtime_;
-  /// One row per attached node; the per-node side of the global counters.
-  /// Unordered — it sits on the per-frame hot path; snapshot() produces
-  /// the deterministic ordered view once per query.
-  std::unordered_map<NodeId, NodeAirtime> ledger_;
 };
 
 }  // namespace vifi::mac

@@ -5,6 +5,10 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <map>
+#include <utility>
+#include <vector>
 
 #include "channel/distance_loss.h"
 #include "channel/markov.h"
@@ -267,6 +271,87 @@ TEST(VehicularChannel, DeterministicForSameSeed) {
     EXPECT_EQ(a.sample_delivery(NodeId(0), NodeId(1), t),
               b.sample_delivery(NodeId(0), NodeId(1), t));
   }
+}
+
+// The per-instant caches are exact. Channel `a` is queried the way the
+// medium queries it: reception_prob then sample_delivery on the same link
+// and instant, so the one-entry memo hits and each node's position is
+// evaluated once per instant. Its twin `b` defeats both caches before every
+// evaluation, with an unrelated link query (memo) and a distance-only query
+// one microsecond later (positions; it touches no fade state), so `b`
+// computes everything from scratch. The two must agree exactly.
+TEST(VehicularChannel, PerInstantCachesAreExact) {
+  constexpr int kNodes = 6;
+  using CallCount = std::map<std::pair<int, std::int64_t>, int>;
+  // Nodes 0-1 are fixed BSes, 2-5 vehicles driving along x at 15-30 m/s.
+  auto counting_positions = [](CallCount& calls) {
+    return [&calls](NodeId id, Time t) {
+      ++calls[{id.value(), t.to_micros()}];
+      if (id.value() < 2) return Vec2{120.0 * id.value(), 0.0};
+      const double speed = 5.0 + 5.0 * id.value();
+      return Vec2{-150.0 + speed * t.to_seconds(), 20.0 * id.value()};
+    };
+  };
+  CallCount calls_a, calls_b;
+  VehicularChannelParams params;
+  VehicularChannel a(params, counting_positions(calls_a), Rng(41));
+  VehicularChannel b(params, counting_positions(calls_b), Rng(41));
+  for (int n = 2; n < kNodes; ++n) {
+    a.mark_mobile(NodeId(n));
+    b.mark_mobile(NodeId(n));
+  }
+
+  std::vector<std::pair<double, bool>> seq_a, seq_b;
+  int delivered = 0;
+  for (int i = 0; i < 3000; ++i) {
+    const Time now = Time::millis(7.0 * i);
+    const Time later = now + Time::micros(1);
+    const NodeId sender(i % kNodes);
+    // Every instant starts and ends on the same link (2 -> 0), so the last
+    // evaluation of one instant names the first link of the next.
+    std::vector<std::pair<NodeId, NodeId>> links = {{NodeId(2), NodeId(0)}};
+    for (int r = 0; r < kNodes; ++r)
+      if (NodeId(r) != sender) links.emplace_back(sender, NodeId(r));
+    links.emplace_back(NodeId(2), NodeId(0));
+    for (const auto& [tx, rx] : links) {
+      const double pa = a.reception_prob(tx, rx, now);
+      seq_a.emplace_back(pa, a.sample_delivery(tx, rx, now));
+      delivered += seq_a.back().second ? 1 : 0;
+
+      b.geometric_reception_prob(tx, rx, later);
+      const double pb = b.reception_prob(tx, rx, now);
+      b.reception_prob(rx, tx, now);
+      b.geometric_reception_prob(tx, rx, later);
+      seq_b.emplace_back(pb, b.sample_delivery(tx, rx, now));
+    }
+  }
+  EXPECT_TRUE(seq_a == seq_b);
+  // The schedule exercises both outcomes.
+  EXPECT_GT(delivered, 0);
+  EXPECT_LT(delivered, static_cast<int>(seq_a.size()));
+  for (const auto& [key, count] : calls_a)
+    EXPECT_EQ(count, 1) << "node " << key.first << " at " << key.second
+                        << " us";
+  // The twin really recomputed: positions at each query instant were
+  // evaluated again after the cache was defeated.
+  EXPECT_GT(calls_b.at({0, Time::millis(7.0).to_micros()}), 1);
+}
+
+// Marking a node mobile between the medium's reception_prob and
+// sample_delivery calls on one link must not serve the memoised
+// probability computed without that node's fade term.
+TEST(VehicularChannel, MarkMobileInvalidatesTheMemo) {
+  VehicularChannelParams params;
+  // A fade that is on essentially always once the node is mobile.
+  params.common_mean_on = Time::seconds(1e6);
+  params.common_mean_off = Time::micros(1);
+  VehicularChannel ch(params, static_positions(20.0), Rng(43));
+  const Time now = Time::seconds(1.0);
+  const double still = ch.reception_prob(NodeId(0), NodeId(1), now);
+  ch.mark_mobile(NodeId(1));
+  const double moving = ch.reception_prob(NodeId(0), NodeId(1), now);
+  EXPECT_GT(still, 0.0);
+  EXPECT_DOUBLE_EQ(moving, still * params.common_multiplier);
 }
 
 // --------------------------------------------------------- TraceLossModel --

@@ -1,19 +1,28 @@
-// Property tests for the medium's airtime ledger: randomized multi-node
-// transmission schedules must conserve airtime and decode outcomes exactly.
-// For every schedule, once the simulator drains:
+// Property tests for the medium's airtime ledger and its O(1) carrier-sense
+// and collision bookkeeping. Randomized multi-node transmission schedules
+// must conserve airtime and decode outcomes exactly. For every schedule,
+// once the simulator drains:
 //   - per-node tx airtime sums to the medium's total busy airtime, which in
 //     turn equals the independently computed sum of frame airtimes;
 //   - every receiver-side decode attempt ends as exactly one of delivery,
 //     collision loss, or channel loss (per node and globally);
-//   - the ledger's totals reconcile with the pre-existing global
-//     transmissions()/collisions()/deliveries() counters.
+//   - the ledger's totals reconcile with the global counters (which the
+//     medium derives from the ledger rows, so that part only pins the
+//     derivation).
+// A brute-force reference model of overlap and audibility checks every
+// per-frame outcome and every busy_until() answer.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <functional>
 #include <map>
+#include <set>
+#include <string>
 #include <tuple>
+#include <utility>
 #include <vector>
 
 #include "mobility/vec2.h"
@@ -128,6 +137,8 @@ TEST(MediumProperties, RandomSchedulesConserveAirtimeAndDecodes) {
     }
 
     // --- ledger totals reconcile with the global counters ---------------
+    // The medium derives its global counters from the rows, so these
+    // checks pin that derivation (and the tx/rx-side symmetry) only.
     std::uint64_t tx = 0, delivered_tx = 0, collided_tx = 0, received = 0,
                   collisions_seen = 0, losses = 0, attempts = 0;
     Time rx_airtime, collided_airtime;
@@ -168,6 +179,212 @@ TEST(MediumProperties, RandomSchedulesConserveAirtimeAndDecodes) {
     EXPECT_GT(jain_rx, 0.0);
     EXPECT_LE(jain_rx, 1.0 + 1e-12);
   }
+}
+
+/// Loss model for the reference-model test: fixed per-seed link
+/// probabilities, a share of them below the audibility threshold (rarely
+/// decoded, never heard) or zero, and a log of the receivers that decoded
+/// the latest transmission.
+class OracleLoss final : public channel::LossModel {
+ public:
+  OracleLoss(int nodes, Rng probs, Rng samples) : samples_(samples) {
+    for (int a = 0; a < nodes; ++a)
+      for (int b = 0; b < nodes; ++b) {
+        if (a == b) continue;
+        const double kind = probs.uniform01();
+        probs_[{NodeId(a), NodeId(b)}] =
+            kind < 0.15   ? 0.0
+            : kind < 0.35 ? 0.049 * probs.uniform01()
+                          : 0.05 + 0.95 * probs.uniform01();
+      }
+  }
+
+  bool sample_delivery(NodeId tx, NodeId rx, Time) override {
+    const bool ok = samples_.bernoulli(probs_.at({tx, rx}));
+    if (ok) decoded_.push_back(rx);
+    return ok;
+  }
+  double reception_prob(NodeId tx, NodeId rx, Time) const override {
+    return probs_.at({tx, rx});
+  }
+
+  /// Receivers that decoded since the last call, in sampling order.
+  std::vector<NodeId> take_decoded() { return std::exchange(decoded_, {}); }
+
+ private:
+  std::map<sim::LinkKey, double> probs_;
+  Rng samples_;
+  std::vector<NodeId> decoded_;
+};
+
+class CallbackSink final : public FrameSink {
+ public:
+  std::function<void(const Frame&)> fn;
+  void on_frame(const Frame& f) override { fn(f); }
+};
+
+/// One transmission as the brute-force reference sees it.
+struct RefFrame {
+  NodeId tx;
+  Time start;
+  Time end;
+  std::uint64_t packet = 0;
+  std::vector<bool> heard;      ///< Per node: audible there, or sent by it.
+  std::vector<NodeId> decoders;
+};
+
+// The medium's O(1) bookkeeping against brute-force reference rules:
+//   - a decode at rx collides iff another frame overlapping it (strictly, at
+//     both ends) was audible at rx or sent by rx;
+//   - busy_until(n, q) is the latest end among frames heard at n that are
+//     still in flight at q, or q.
+// Schedules mix same-instant starts, frames starting exactly at another's
+// end, mid-flight attaches, and a sink that answers synchronously from
+// on_frame (a frame starting exactly at the end of the one it received).
+TEST(MediumProperties, BookkeepingMatchesBruteForceReference) {
+  const double kAudibility = MediumParams{}.audibility_threshold;
+  int same_instant = 0, end_aligned = 0, mid_flight_attaches = 0, replies = 0;
+  std::uint64_t collisions = 0, busy_checks = 0, busy_hits = 0;
+  for (std::uint64_t seed = 1; seed <= 600; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    Rng rng(seed);
+    const int nodes = static_cast<int>(rng.uniform_int(2, 7));
+    OracleLoss loss(nodes, rng.fork("probs"), rng.fork("samples"));
+    Rng replies_rng = rng.fork("replies");
+    sim::Simulator sim;
+    Medium medium(sim, loss, {});
+    net::PacketFactory factory;
+    std::vector<RefFrame> frames;
+    std::vector<bool> attached(static_cast<std::size_t>(nodes), false);
+    std::set<std::pair<std::uint64_t, int>> delivered;  // (packet, rx)
+
+    const auto check_busy = [&](NodeId n, Time q) {
+      Time expected = q;
+      for (const RefFrame& f : frames)
+        if (f.heard[static_cast<std::size_t>(n.value())] && f.end > q)
+          expected = std::max(expected, f.end);
+      busy_hits += expected > q ? 1 : 0;
+      ++busy_checks;
+      EXPECT_EQ(medium.busy_until(n, q), expected)
+          << "busy_until(" << n.to_string() << ", " << q.to_micros()
+          << " us) at " << sim.now().to_micros() << " us";
+    };
+    const auto send = [&](NodeId tx, int bytes) {
+      Frame f = data_frame(factory, tx, bytes);
+      RefFrame ref;
+      ref.tx = tx;
+      ref.start = sim.now();
+      ref.end = sim.now() + medium.airtime(f.bytes_on_air());
+      ref.packet = f.data.packet_id;
+      for (int n = 0; n < nodes; ++n)
+        ref.heard.push_back(
+            NodeId(n) == tx ||
+            (attached[static_cast<std::size_t>(n)] &&
+             loss.reception_prob(tx, NodeId(n), sim.now()) >= kAudibility));
+      medium.transmit(std::move(f));
+      ref.decoders = loss.take_decoded();
+      frames.push_back(std::move(ref));
+      check_busy(NodeId(static_cast<int>(rng.uniform_int(0, nodes - 1))),
+                 sim.now());
+      return frames.back().packet;
+    };
+
+    // Nodes 0 and 1 answer about half the planned frames they decode at
+    // once, from inside on_frame (never a reply, so chains stay short).
+    std::set<std::uint64_t> reply_packets;
+    std::vector<CallbackSink> sinks(static_cast<std::size_t>(nodes));
+    for (int n = 0; n < nodes; ++n) {
+      sinks[static_cast<std::size_t>(n)].fn = [&, n](const Frame& f) {
+        delivered.emplace(f.data.packet_id, n);
+        if (n < 2 && !reply_packets.contains(f.data.packet_id) &&
+            replies_rng.bernoulli(0.5)) {
+          ++replies;
+          reply_packets.insert(send(NodeId(n), 20));
+        }
+      };
+    }
+    const auto attach = [&](int n) {
+      medium.attach(NodeId(n), &sinks[static_cast<std::size_t>(n)]);
+      attached[static_cast<std::size_t>(n)] = true;
+      if (std::any_of(frames.begin(), frames.end(),
+                      [&](const RefFrame& f) { return f.end > sim.now(); }))
+        ++mid_flight_attaches;
+    };
+    const int initial = static_cast<int>(rng.uniform_int(1, nodes));
+    for (int n = 0; n < initial; ++n) attach(n);
+    for (int n = initial; n < nodes; ++n) {
+      sim.schedule_at(Time::micros(rng.uniform_int(0, 20000)),
+                      [&attach, n] { attach(n); });
+    }
+
+    // Planned transmissions: the sender falls back to node 0 if it is not
+    // attached yet when its start comes.
+    const int planned = static_cast<int>(rng.uniform_int(1, 16));
+    std::vector<Time> ends;
+    Time at;
+    for (int i = 0; i < planned; ++i) {
+      const int bytes = static_cast<int>(rng.uniform_int(0, 800));
+      const double kind = rng.uniform01();
+      if (kind < 0.25 && i > 0) {
+        ++same_instant;  // same start as the previous plan
+      } else if (kind < 0.5 && i > 0) {
+        ++end_aligned;  // starts exactly as an earlier plan ends
+        at = ends[static_cast<std::size_t>(rng.uniform_int(0, i - 1))];
+      } else {
+        at += Time::micros(rng.uniform_int(1, 6000));
+      }
+      ends.push_back(at + medium.airtime(24 + bytes));
+      const int want = static_cast<int>(rng.uniform_int(0, nodes - 1));
+      sim.schedule_at(at, [&, want, bytes] {
+        send(attached[static_cast<std::size_t>(want)] ? NodeId(want)
+                                                      : NodeId(0),
+             bytes);
+      });
+    }
+    // Carrier-sense probes at random instants, about now and the future.
+    for (int i = 0; i < 12; ++i) {
+      const NodeId n(static_cast<int>(rng.uniform_int(0, nodes - 1)));
+      const Time offset = Time::micros(rng.uniform_int(0, 3) == 0
+                                           ? rng.uniform_int(0, 4000)
+                                           : 0);
+      sim.schedule_at(Time::micros(rng.uniform_int(0, 40000)),
+                      [&, n, offset] { check_busy(n, sim.now() + offset); });
+    }
+    sim.run();
+
+    std::uint64_t decodes = 0, expected_collisions = 0;
+    for (std::size_t i = 0; i < frames.size(); ++i) {
+      const RefFrame& f = frames[i];
+      for (NodeId rx : f.decoders) {
+        ++decodes;
+        bool collided = false;
+        for (std::size_t j = 0; j < frames.size(); ++j) {
+          const RefFrame& o = frames[j];
+          if (j != i && o.start < f.end && f.start < o.end &&
+              o.heard[static_cast<std::size_t>(rx.value())])
+            collided = true;
+        }
+        expected_collisions += collided ? 1 : 0;
+        EXPECT_EQ(delivered.contains({f.packet, rx.value()}), !collided)
+            << "frame " << i << " from " << f.tx.to_string() << " ["
+            << f.start.to_micros() << ", " << f.end.to_micros()
+            << ") us at " << rx.to_string();
+      }
+    }
+    EXPECT_EQ(medium.transmissions(), frames.size());
+    EXPECT_EQ(medium.collisions(), expected_collisions);
+    EXPECT_EQ(medium.deliveries(), decodes - expected_collisions);
+    EXPECT_EQ(delivered.size(), decodes - expected_collisions);
+    collisions += expected_collisions;
+  }
+  // The schedules exercise every rule they are meant to.
+  EXPECT_GT(same_instant, 100);
+  EXPECT_GT(end_aligned, 100);
+  EXPECT_GT(mid_flight_attaches, 50);
+  EXPECT_GT(replies, 100);
+  EXPECT_GT(collisions, 100u);
+  EXPECT_GT(busy_hits, 100u);
+  EXPECT_GT(busy_checks, busy_hits);
 }
 
 /// Loss model whose reception probability is a pure function of node
