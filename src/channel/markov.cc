@@ -24,16 +24,6 @@ void TwoStateProcess::draw_next_transition() {
   next_transition_ += Time::seconds(rng_.exponential(mean.to_seconds()));
 }
 
-bool TwoStateProcess::on_at(Time now) {
-  VIFI_EXPECTS(now >= last_query_);
-  last_query_ = now;
-  while (next_transition_ <= now) {
-    on_ = !on_;
-    draw_next_transition();
-  }
-  return on_;
-}
-
 double TwoStateProcess::stationary_on_fraction() const {
   return mean_on_.to_seconds() /
          (mean_on_.to_seconds() + mean_off_.to_seconds());

@@ -29,7 +29,15 @@ class TwoStateProcess {
   static TwoStateProcess stationary(Time mean_on, Time mean_off, Rng rng);
 
   /// Advances to \p now (non-decreasing across calls) and returns the state.
-  bool on_at(Time now);
+  bool on_at(Time now) {
+    VIFI_EXPECTS(now >= last_query_);
+    last_query_ = now;
+    while (next_transition_ <= now) {
+      on_ = !on_;
+      draw_next_transition();
+    }
+    return on_;
+  }
 
   /// Fraction of time spent ON in steady state.
   double stationary_on_fraction() const;

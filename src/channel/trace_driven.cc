@@ -6,15 +6,10 @@
 
 namespace vifi::channel {
 
-sim::LinkKey TraceLossModel::canonical(NodeId a, NodeId b) {
-  if (b < a) std::swap(a, b);
-  return {a, b};
-}
-
 void TraceLossModel::set_loss_rate(NodeId a, NodeId b, int sec, double loss) {
   VIFI_EXPECTS(sec >= 0);
   VIFI_EXPECTS(loss >= 0.0 && loss <= 1.0);
-  auto& sched = pairs_[canonical(a, b)];
+  auto& sched = pairs_.get_or_create(a, b);
   if (sched.per_second.size() <= static_cast<std::size_t>(sec))
     sched.per_second.resize(static_cast<std::size_t>(sec) + 1, -1.0);
   sched.per_second[static_cast<std::size_t>(sec)] = loss;
@@ -23,18 +18,17 @@ void TraceLossModel::set_loss_rate(NodeId a, NodeId b, int sec, double loss) {
 
 void TraceLossModel::set_constant_loss_rate(NodeId a, NodeId b, double loss) {
   VIFI_EXPECTS(loss >= 0.0 && loss <= 1.0);
-  pairs_[canonical(a, b)].constant = loss;
+  pairs_.get_or_create(a, b).constant = loss;
 }
 
 double TraceLossModel::loss_rate(NodeId a, NodeId b, Time now) const {
-  const auto it = pairs_.find(canonical(a, b));
-  if (it == pairs_.end()) return 1.0;
-  const PairSchedule& sched = it->second;
+  const PairSchedule* sched = pairs_.find(a, b);
+  if (sched == nullptr) return 1.0;
   const auto sec = static_cast<std::size_t>(
       std::max<std::int64_t>(0, now.to_micros() / 1'000'000));
-  if (sec < sched.per_second.size() && sched.per_second[sec] >= 0.0)
-    return sched.per_second[sec];
-  if (sched.constant >= 0.0) return sched.constant;
+  if (sec < sched->per_second.size() && sched->per_second[sec] >= 0.0)
+    return sched->per_second[sec];
+  if (sched->constant >= 0.0) return sched->constant;
   return 1.0;
 }
 

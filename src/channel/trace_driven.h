@@ -10,15 +10,16 @@
 /// The schedule is symmetric per one-second bucket; finer-timescale
 /// behaviour and asymmetry are deliberately ignored, as in the paper.
 
-#include <unordered_map>
 #include <vector>
 
 #include "channel/loss_model.h"
+#include "channel/pair_table.h"
 #include "util/rng.h"
 
 namespace vifi::channel {
 
 /// A per-second, per-pair loss-rate schedule driving a memoryless channel.
+/// Node ids follow the channel id rule (pair_table.h).
 class TraceLossModel final : public LossModel {
  public:
   explicit TraceLossModel(Rng rng) : rng_(rng) {}
@@ -46,9 +47,7 @@ class TraceLossModel final : public LossModel {
     double constant = -1.0;          // >= 0 overrides when second unset
   };
 
-  static sim::LinkKey canonical(NodeId a, NodeId b);
-
-  std::unordered_map<sim::LinkKey, PairSchedule> pairs_;
+  PairTable<PairSchedule> pairs_;
   int horizon_ = 0;
   Rng rng_;
 };

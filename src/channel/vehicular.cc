@@ -7,17 +7,6 @@
 
 namespace vifi::channel {
 
-namespace {
-// Node ids are dense (testbeds number BSes, vehicles and the wired host
-// from 0); a bound keeps a stray large id from sizing the cache.
-constexpr int kMaxCachedNode = 1 << 16;
-
-std::string link_name(const char* prefix, NodeId a, NodeId b) {
-  return std::string(prefix) + "/" + std::to_string(a.value()) + "/" +
-         std::to_string(b.value());
-}
-}  // namespace
-
 VehicularChannel::VehicularChannel(VehicularChannelParams params,
                                    PositionFn positions, Rng rng)
     : params_(params),
@@ -29,70 +18,39 @@ VehicularChannel::VehicularChannel(VehicularChannelParams params,
 }
 
 void VehicularChannel::mark_mobile(NodeId node) {
-  VIFI_EXPECTS(node.valid());
-  mobile_ids_.insert(node);
+  const std::size_t i = channel_index(node);
+  if (i >= rows_.size()) rows_.resize(i + 1);
+  if (!rows_[i].fade_on)
+    rows_[i].fade_on = process("fade", node, node, params_.common_mean_on,
+                               params_.common_mean_off);
   last_.valid = false;  // the node now carries a fade term
 }
 
-mobility::Vec2 VehicularChannel::position(NodeId node, Time now) const {
-  if (!node.valid() || node.value() >= kMaxCachedNode)
-    return positions_(node, now);
-  const auto i = static_cast<std::size_t>(node.value());
-  if (i >= positions_at_.size()) positions_at_.resize(i + 1);
-  CachedPosition& c = positions_at_[i];
-  if (!c.valid || c.at != now) c = {now, positions_(node, now), true};
-  return c.pos;
+TwoStateProcess VehicularChannel::process(const char* kind, NodeId a,
+                                          NodeId b, Time mean_on,
+                                          Time mean_off) const {
+  const std::string name = std::string(kind) + "/" + std::to_string(a.value()) +
+                           "/" + std::to_string(b.value());
+  return TwoStateProcess::stationary(mean_on, mean_off,
+                                     rng_.fork(name).fork("proc"));
 }
 
-VehicularChannel::LinkState& VehicularChannel::link_state(NodeId tx,
-                                                          NodeId rx) const {
-  const sim::LinkKey key{tx, rx};
-  auto it = links_.find(key);
-  if (it == links_.end()) {
-    Rng fork = rng_.fork(link_name("ge", tx, rx));
-    it = links_
-             .emplace(key, LinkState{TwoStateProcess::stationary(
-                               params_.ge_mean_bad, params_.ge_mean_good,
-                               fork.fork("proc"))})
-             .first;
-  }
-  return it->second;
-}
-
-VehicularChannel::PathState& VehicularChannel::path_state(NodeId a,
-                                                          NodeId b) const {
-  if (b < a) std::swap(a, b);
-  const sim::LinkKey key{a, b};
-  auto it = paths_.find(key);
-  if (it == paths_.end()) {
-    Rng fork = rng_.fork(link_name("gray", a, b));
-    it = paths_
-             .emplace(key, PathState{TwoStateProcess::stationary(
-                               params_.gray_mean_on, params_.gray_mean_off,
-                               fork.fork("proc"))})
-             .first;
-  }
-  return it->second;
-}
-
-VehicularChannel::NodeState* VehicularChannel::node_state(NodeId n) const {
-  if (!mobile_ids_.contains(n)) return nullptr;
-  auto it = mobile_.find(n);
-  if (it == mobile_.end()) {
-    Rng fork = rng_.fork(link_name("fade", n, n));
-    it = mobile_
-             .emplace(n, NodeState{TwoStateProcess::stationary(
-                             params_.common_mean_on, params_.common_mean_off,
-                             fork.fork("proc"))})
-             .first;
-  }
-  return &it->second;
+double VehicularChannel::distance(NodeId a, NodeId b, Time now) const {
+  const std::size_t i = channel_index(a), j = channel_index(b);
+  if (std::max(i, j) >= rows_.size()) rows_.resize(std::max(i, j) + 1);
+  auto position = [&](Row& r, NodeId node) {
+    if (r.at != now) {
+      r.pos = positions_(node, now);
+      r.at = now;
+    }
+    return r.pos;
+  };
+  return mobility::distance(position(rows_[i], a), position(rows_[j], b));
 }
 
 double VehicularChannel::geometric_reception_prob(NodeId tx, NodeId rx,
                                                   Time now) const {
-  const double d = mobility::distance(position(tx, now), position(rx, now));
-  return curve_.reception_prob(d);
+  return curve_.reception_prob(distance(tx, rx, now));
 }
 
 double VehicularChannel::instantaneous_prob(NodeId tx, NodeId rx,
@@ -103,14 +61,21 @@ double VehicularChannel::instantaneous_prob(NodeId tx, NodeId rx,
 }
 
 double VehicularChannel::evaluate(NodeId tx, NodeId rx, Time now) const {
-  const double d = mobility::distance(position(tx, now), position(rx, now));
+  const double d = distance(tx, rx, now);
   if (d > curve_.cutoff_m()) return 0.0;
   double p = curve_.reception_prob(d);
-  if (link_state(tx, rx).ge_bad.on_at(now)) p *= params_.ge_bad_multiplier;
-  if (path_state(tx, rx).gray_on.on_at(now)) p *= params_.gray_multiplier;
-  for (NodeId end : {tx, rx}) {
-    if (NodeState* ns = node_state(end); ns && ns->fade_on.on_at(now))
-      p *= params_.common_multiplier;
+  PairState& pair = pairs_.get_or_create(tx, rx, [this](NodeId lo, NodeId hi) {
+    const auto& c = params_;
+    return PairState{
+        {process("ge", lo, hi, c.ge_mean_bad, c.ge_mean_good),
+         process("ge", hi, lo, c.ge_mean_bad, c.ge_mean_good)},
+        process("gray", lo, hi, c.gray_mean_on, c.gray_mean_off)};
+  });
+  if (pair.ge_bad[tx > rx ? 1 : 0].on_at(now)) p *= params_.ge_bad_multiplier;
+  if (pair.gray_on.on_at(now)) p *= params_.gray_multiplier;
+  for (NodeId end : {tx, rx}) {  // distance() made both rows
+    auto& fade = rows_[static_cast<std::size_t>(end.value())].fade_on;
+    if (fade && fade->on_at(now)) p *= params_.common_multiplier;
   }
   return std::clamp(p, 0.0, 1.0);
 }

@@ -23,16 +23,21 @@
 /// last (tx, rx, now) -> probability evaluation, so the medium's
 /// reception_prob() + sample_delivery() pair on one link costs one
 /// evaluation. sample_delivery() still draws its Bernoulli on every call.
+///
+/// Dense state: a row per node (position cache, fade process if mobile) and
+/// a record per unordered pair (both burst directions, the gray process).
+/// Each process is a pure function of its fork name (ge/tx/rx, gray/lo/hi,
+/// fade/n/n) and draws only as time advances, so creating it early, or
+/// with its reverse direction, does not change the realisation.
 
 #include <functional>
-#include <memory>
-#include <unordered_map>
-#include <unordered_set>
+#include <optional>
 #include <vector>
 
 #include "channel/distance_loss.h"
 #include "channel/loss_model.h"
 #include "channel/markov.h"
+#include "channel/pair_table.h"
 #include "mobility/vec2.h"
 #include "util/rng.h"
 
@@ -65,7 +70,8 @@ class VehicularChannel final : public LossModel {
  public:
   /// \p positions maps any registered node to its position at a time. It
   /// must be a pure function of (node, time): the channel caches its
-  /// answers per node for the query instant.
+  /// answers per node for the query instant. Node ids must be valid and
+  /// below kMaxChannelNodes (pair_table.h), or calls throw.
   using PositionFn = std::function<mobility::Vec2(NodeId, Time)>;
 
   VehicularChannel(VehicularChannelParams params, PositionFn positions,
@@ -83,27 +89,14 @@ class VehicularChannel final : public LossModel {
   const VehicularChannelParams& params() const { return params_; }
 
  private:
-  struct LinkState {
-    TwoStateProcess ge_bad;  // ON == Bad (burst-loss) state
-  };
-  struct PathState {
-    TwoStateProcess gray_on;  // ON == gray period
-  };
-  struct NodeState {
-    TwoStateProcess fade_on;  // ON == vehicle-wide fade
-  };
-
-  LinkState& link_state(NodeId tx, NodeId rx) const;
-  PathState& path_state(NodeId a, NodeId b) const;
-  NodeState* node_state(NodeId n) const;  // nullptr if not mobile
-  double instantaneous_prob(NodeId tx, NodeId rx, Time now) const;
-  double evaluate(NodeId tx, NodeId rx, Time now) const;
-  mobility::Vec2 position(NodeId node, Time now) const;
-
-  struct CachedPosition {
-    Time at;
+  struct Row {
+    std::optional<Time> at;  // query time of `pos`
     mobility::Vec2 pos;
-    bool valid = false;
+    std::optional<TwoStateProcess> fade_on;  // mobile only; ON == faded
+  };
+  struct PairState {
+    TwoStateProcess ge_bad[2];  // ON == Bad state; [0] lo->hi, [1] hi->lo
+    TwoStateProcess gray_on;    // ON == gray period on the path
   };
   struct LastEval {
     NodeId tx;
@@ -113,17 +106,20 @@ class VehicularChannel final : public LossModel {
     bool valid = false;
   };
 
+  TwoStateProcess process(const char* kind, NodeId a, NodeId b, Time mean_on,
+                          Time mean_off) const;
+  double instantaneous_prob(NodeId tx, NodeId rx, Time now) const;
+  double evaluate(NodeId tx, NodeId rx, Time now) const;
+  /// Distance at \p now; makes both rows and caches their positions.
+  double distance(NodeId a, NodeId b, Time now) const;
+
   VehicularChannelParams params_;
   DistanceLossCurve curve_;
   PositionFn positions_;
-  mutable Rng rng_;
-  mutable std::unordered_map<sim::LinkKey, LinkState> links_;
-  mutable std::unordered_map<sim::LinkKey, PathState> paths_;  // a < b key
-  mutable std::unordered_map<NodeId, NodeState> mobile_;
-  std::unordered_set<NodeId> mobile_ids_;
+  Rng rng_;
+  mutable std::vector<Row> rows_;  // indexed by node id
+  mutable PairTable<PairState> pairs_;
   mutable Rng draw_rng_;
-  /// Indexed by node id; ids at or past kMaxCachedNode bypass the cache.
-  mutable std::vector<CachedPosition> positions_at_;
   mutable LastEval last_;
 };
 

@@ -12,9 +12,11 @@
 
 #include "channel/distance_loss.h"
 #include "channel/markov.h"
+#include "channel/pair_table.h"
 #include "channel/trace_driven.h"
 #include "channel/vehicular.h"
 #include "mobility/vec2.h"
+#include "scenario/testbed.h"
 #include "util/contracts.h"
 
 namespace vifi::channel {
@@ -354,6 +356,58 @@ TEST(VehicularChannel, MarkMobileInvalidatesTheMemo) {
   EXPECT_DOUBLE_EQ(moving, still * params.common_multiplier);
 }
 
+// Node ids are dense channel indices: an invalid or out-of-range id is a
+// contract violation, never a silent slower path.
+TEST(VehicularChannel, RejectsInvalidAndOutOfRangeIds) {
+  VehicularChannelParams params;
+  VehicularChannel ch(params, static_positions(20.0), Rng(47));
+  const NodeId past(kMaxChannelNodes);
+  const Time now = Time::zero();
+  EXPECT_THROW(ch.mark_mobile(NodeId{}), ContractViolation);
+  EXPECT_THROW(ch.mark_mobile(past), ContractViolation);
+  EXPECT_THROW(ch.reception_prob(NodeId{}, NodeId(1), now), ContractViolation);
+  EXPECT_THROW(ch.reception_prob(NodeId(0), past, now), ContractViolation);
+  EXPECT_THROW(ch.sample_delivery(past, NodeId(0), now), ContractViolation);
+  EXPECT_THROW(ch.geometric_reception_prob(NodeId(0), NodeId(-2), now),
+               ContractViolation);
+  // The largest valid id is served (a distance-only query: it builds no
+  // pair slots).
+  EXPECT_NO_THROW(ch.geometric_reception_prob(
+      NodeId(0), NodeId(kMaxChannelNodes - 1), now));
+  EXPECT_GT(ch.reception_prob(NodeId(0), NodeId(1), now), 0.0);
+}
+
+// Pins the channel's realisation: every process is a pure function of its
+// fork name (ge/tx/rx, gray/lo/hi, fade/n/n) and draws only as time
+// advances. A change to a fork name, the draw order or the composition
+// moves this digest, and with it every live sweep's bytes. The probability
+// is hashed at 1e-9 resolution so libm's last bit cannot move it.
+TEST(VehicularChannel, GoldenRealisationDigest) {
+  const scenario::Testbed bed = scenario::make_vanlan(2);
+  const auto ch = bed.make_channel(Rng(2008));
+  const int radios = bed.wired_host().value();  // BSes and both vans
+  std::uint64_t digest = 14695981039346656037ull;  // FNV-1a offset basis
+  auto mix = [&digest](std::uint64_t word) {
+    for (int b = 0; b < 8; ++b) {
+      digest ^= (word >> (8 * b)) & 0xff;
+      digest *= 1099511628211ull;
+    }
+  };
+  int delivered = 0;
+  for (int i = 0; i < 10000; ++i) {
+    const Time now = Time::millis(20.0 * i);
+    const NodeId tx(i % radios);
+    const NodeId rx((i % radios + 1 + (i / radios) % (radios - 1)) % radios);
+    const double p = ch->reception_prob(tx, rx, now);
+    const bool got = ch->sample_delivery(tx, rx, now);
+    mix(static_cast<std::uint64_t>(std::llround(p * 1e9)));
+    mix(got ? 1 : 0);
+    delivered += got ? 1 : 0;
+  }
+  EXPECT_GT(delivered, 500);
+  EXPECT_EQ(digest, 0x98edbd3a95e2c510ull);
+}
+
 // --------------------------------------------------------- TraceLossModel --
 
 TEST(TraceLossModel, UnknownPairsAreUnreachable) {
@@ -399,6 +453,19 @@ TEST(TraceLossModel, HorizonTracksLongestSchedule) {
   EXPECT_EQ(m.horizon_seconds(), 0);
   m.set_loss_rate(NodeId(0), NodeId(1), 41, 0.5);
   EXPECT_EQ(m.horizon_seconds(), 42);
+}
+
+TEST(TraceLossModel, RejectsInvalidAndOutOfRangeIds) {
+  TraceLossModel m(Rng(61));
+  const NodeId past(kMaxChannelNodes);
+  EXPECT_THROW(m.set_loss_rate(NodeId{}, NodeId(1), 0, 0.5), ContractViolation);
+  EXPECT_THROW(m.set_constant_loss_rate(NodeId(0), past, 0.5),
+               ContractViolation);
+  EXPECT_THROW(m.loss_rate(past, NodeId(0), Time::zero()), ContractViolation);
+  // A valid id past every stored pair is still just unreachable.
+  m.set_constant_loss_rate(NodeId(0), NodeId(1), 0.25);
+  EXPECT_DOUBLE_EQ(m.loss_rate(NodeId(0), NodeId(9), Time::zero()), 1.0);
+  EXPECT_DOUBLE_EQ(m.loss_rate(NodeId(1), NodeId(0), Time::zero()), 0.25);
 }
 
 TEST(TraceLossModel, RejectsOutOfRangeInputs) {

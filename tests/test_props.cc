@@ -1,19 +1,28 @@
 // Parameterized property suites (TEST_P sweeps) over the library's core
 // invariants: session accounting, relay-probability guarantees, channel
-// processes, CDFs, TCP delivery exactness, and time arithmetic.
+// processes and pair state, CDFs, TCP delivery exactness, and time
+// arithmetic.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <map>
 #include <numeric>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "analysis/sessions.h"
 #include "apps/tcp.h"
 #include "apps/transport.h"
+#include "channel/distance_loss.h"
 #include "channel/markov.h"
 #include "channel/trace_driven.h"
+#include "channel/vehicular.h"
 #include "core/pab.h"
 #include "core/relay_policy.h"
+#include "mobility/vec2.h"
 #include "util/cdf.h"
 #include "util/rng.h"
 #include "util/stats.h"
@@ -226,6 +235,106 @@ INSTANTIATE_TEST_SUITE_P(SojournSweep, MarkovProperties,
                                            MarkovCase{4.0, 0.5},
                                            MarkovCase{2.0, 8.0},
                                            MarkovCase{10.0, 50.0}));
+
+// ------------------------------------------- vehicular channel pair state --
+
+// The channel builds one record per unordered pair, both burst directions
+// and the gray process at once, the first time either direction is
+// evaluated. That is exact only because each process is a pure function of
+// its fork name and draws only as time advances. Channel `late` first
+// touches every pair hi -> lo at the start of the shared grid; `early`
+// touches it lo -> hi long before. Both must match each other and a
+// reference that builds each process on its own under its documented name
+// (ge/tx/rx, gray/lo/hi, fade/n/n).
+TEST(VehicularChannel, PairStateIsIndependentOfFirstTouch) {
+  using channel::TwoStateProcess;
+  using sim::NodeId;
+  constexpr int kNodes = 7;
+  constexpr int kBses = 3;  // 0-2 fixed BSes; 3-6 vehicles driving past
+  const Rng root(61);
+  auto positions = [](NodeId id, Time t) {
+    if (id.value() < kBses) return mobility::Vec2{90.0 * id.value(), 0.0};
+    const double speed = 4.0 * id.value();
+    return mobility::Vec2{-60.0 + speed * t.to_seconds(), 15.0 * id.value()};
+  };
+  const channel::VehicularChannelParams params;
+  channel::VehicularChannel early(params, positions, root);
+  channel::VehicularChannel late(params, positions, root);
+  for (int n = kBses; n < kNodes; ++n) {
+    early.mark_mobile(NodeId(n));
+    late.mark_mobile(NodeId(n));
+  }
+
+  const channel::DistanceLossCurve curve(params.distance);
+  std::map<std::string, TwoStateProcess> procs;
+  Rng ref_draws = root.fork("per-packet-draws");
+  auto on = [&](const char* kind, int a, int b, Time mean_on, Time mean_off,
+                Time now) {
+    const std::string name = std::string(kind) + "/" + std::to_string(a) +
+                             "/" + std::to_string(b);
+    auto it = procs.find(name);
+    if (it == procs.end())
+      it = procs
+               .emplace(name, TwoStateProcess::stationary(
+                                  mean_on, mean_off,
+                                  root.fork(name).fork("proc")))
+               .first;
+    return it->second.on_at(now);
+  };
+  auto ref_prob = [&](int tx, int rx, Time now) {
+    const double d = mobility::distance(positions(NodeId(tx), now),
+                                        positions(NodeId(rx), now));
+    if (d > curve.cutoff_m()) return 0.0;
+    double p = curve.reception_prob(d);
+    if (on("ge", tx, rx, params.ge_mean_bad, params.ge_mean_good, now))
+      p *= params.ge_bad_multiplier;
+    if (on("gray", std::min(tx, rx), std::max(tx, rx), params.gray_mean_on,
+           params.gray_mean_off, now))
+      p *= params.gray_multiplier;
+    for (int end : {tx, rx}) {
+      if (end >= kBses && on("fade", end, end, params.common_mean_on,
+                             params.common_mean_off, now))
+        p *= params.common_multiplier;
+    }
+    return std::clamp(p, 0.0, 1.0);
+  };
+
+  // Every pair is in range at both touch instants.
+  const Time touch = Time::seconds(1.0), start = Time::seconds(5.0);
+  for (int hi = 1; hi < kNodes; ++hi) {
+    for (int lo = 0; lo < hi; ++lo) {
+      EXPECT_GT(early.reception_prob(NodeId(lo), NodeId(hi), touch), 0.0);
+      EXPECT_GT(late.reception_prob(NodeId(hi), NodeId(lo), start), 0.0);
+    }
+  }
+
+  using Draw = std::pair<double, bool>;
+  std::vector<Draw> seq_early, seq_late, seq_ref;
+  int delivered = 0, out_of_range = 0;
+  for (int k = 0; k < 500; ++k) {
+    const Time now = start + Time::millis(37.0 * k);
+    for (int tx = 0; tx < kNodes; ++tx) {
+      for (int rx = 0; rx < kNodes; ++rx) {
+        if (tx == rx) continue;
+        const NodeId t(tx), r(rx);
+        const double pe = early.reception_prob(t, r, now);
+        seq_early.emplace_back(pe, early.sample_delivery(t, r, now));
+        const double pl = late.reception_prob(t, r, now);
+        seq_late.emplace_back(pl, late.sample_delivery(t, r, now));
+        const double pr = ref_prob(tx, rx, now);
+        seq_ref.emplace_back(pr, ref_draws.bernoulli(pr));
+        delivered += seq_ref.back().second ? 1 : 0;
+        out_of_range += pr == 0.0 ? 1 : 0;
+      }
+    }
+  }
+  EXPECT_TRUE(seq_early == seq_ref);
+  EXPECT_TRUE(seq_late == seq_ref);
+  // The grid sees deliveries, losses and links that drive out of range.
+  EXPECT_GT(delivered, 0);
+  EXPECT_LT(delivered, static_cast<int>(seq_ref.size()));
+  EXPECT_GT(out_of_range, 0);
+}
 
 // ------------------------------------------------------------- CDF sweep --
 
