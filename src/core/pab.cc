@@ -5,6 +5,16 @@
 #include "util/contracts.h"
 
 namespace vifi::core {
+namespace {
+
+/// Estimates go stale after this long (boundaries: see pab.h).
+constexpr double kFreshnessSeconds = 5.0;
+
+bool stale(Time last_update, Time now) {
+  return (now - last_update).to_seconds() > kFreshnessSeconds;
+}
+
+}  // namespace
 
 PabTable::PabTable(NodeId self, int beacons_per_second, double alpha)
     : self_(self), beacons_per_second_(beacons_per_second), alpha_(alpha) {
@@ -13,8 +23,11 @@ PabTable::PabTable(NodeId self, int beacons_per_second, double alpha)
 }
 
 void PabTable::note_beacon(NodeId from, Time now) {
-  ++counts_this_second_[from];
-  last_heard_[from] = now;
+  auto it = std::ranges::lower_bound(neighbors_, from, {}, &Neighbor::id);
+  if (it == neighbors_.end() || it->id != from)
+    it = neighbors_.insert(it, Neighbor{from, 0, Ewma(alpha_), {}, {}});
+  ++it->count_this_second;
+  it->last_heard = now;
 }
 
 void PabTable::fold_reports(const std::vector<mac::ProbReport>& reports,
@@ -22,80 +35,66 @@ void PabTable::fold_reports(const std::vector<mac::ProbReport>& reports,
   for (const mac::ProbReport& r : reports) {
     if (!r.from.valid() || !r.to.valid()) continue;
     if (r.to == self_) continue;  // we know our own incoming better
-    remote_[{r.from, r.to}] = {std::clamp(r.prob, 0.0, 1.0), now};
+    const sim::LinkKey key{r.from, r.to};
+    auto it = std::ranges::lower_bound(remote_, key, {}, &Remote::key);
+    if (it == remote_.end() || it->key != key)
+      it = remote_.insert(it, {key, 0.0, {}});
+    it->prob = std::clamp(r.prob, 0.0, 1.0);
+    it->last_update = now;
   }
 }
 
 void PabTable::tick_second(Time now) {
-  // Every neighbour heard recently gets an update; silence counts as zero
-  // so estimates age out naturally.
-  for (auto& [from, est] : incoming_) {
-    const auto it = counts_this_second_.find(from);
-    const int c = it == counts_this_second_.end() ? 0 : it->second;
-    // Only keep feeding zeros while the neighbour is plausibly nearby.
-    const auto lh = last_heard_.find(from);
-    const bool fresh = lh != last_heard_.end() &&
-                       (now - lh->second).to_seconds() < kFreshnessSeconds;
-    if (c > 0 || fresh) {
-      est.avg.update(std::min(
-          1.0, static_cast<double>(c) / beacons_per_second_));
-      est.last_update = now;
+  // Silence counts as zero while the neighbour is fresh: estimates age out.
+  for (Neighbor& n : neighbors_) {
+    const bool fresh = (now - n.last_heard).to_seconds() < kFreshnessSeconds;
+    if (n.count_this_second > 0 || fresh) {
+      n.avg.update(std::min(
+          1.0, static_cast<double>(n.count_this_second) / beacons_per_second_));
+      n.last_update = now;
     }
+    n.count_this_second = 0;
   }
-  // New neighbours.
-  for (const auto& [from, c] : counts_this_second_) {
-    if (incoming_.contains(from)) continue;
-    Estimate est;
-    est.avg = Ewma(alpha_);
-    est.avg.update(
-        std::min(1.0, static_cast<double>(c) / beacons_per_second_));
-    est.last_update = now;
-    incoming_.emplace(from, est);
-  }
-  counts_this_second_.clear();
 }
 
 double PabTable::incoming(NodeId from, Time now, double fallback) const {
-  const auto it = incoming_.find(from);
-  if (it == incoming_.end() || !it->second.avg.initialized())
+  const auto it = std::ranges::lower_bound(neighbors_, from, {}, &Neighbor::id);
+  if (it == neighbors_.end() || it->id != from || !it->avg.initialized() ||
+      stale(it->last_update, now))
     return fallback;
-  if ((now - it->second.last_update).to_seconds() > kFreshnessSeconds)
-    return fallback;
-  return it->second.avg.value();
+  return it->avg.value();
 }
 
 double PabTable::get(NodeId from, NodeId to, Time now,
                      double fallback) const {
   if (to == self_) return incoming(from, now, fallback);
-  const auto it = remote_.find({from, to});
-  if (it == remote_.end()) return fallback;
-  if ((now - it->second.last_update).to_seconds() > kFreshnessSeconds)
+  const sim::LinkKey key{from, to};
+  const auto it = std::ranges::lower_bound(remote_, key, {}, &Remote::key);
+  if (it == remote_.end() || it->key != key || stale(it->last_update, now))
     return fallback;
-  return it->second.prob;
+  return it->prob;
 }
 
 std::vector<NodeId> PabTable::recent_neighbors(Time now,
                                                Time staleness) const {
   std::vector<NodeId> out;
-  for (const auto& [from, t] : last_heard_)
-    if (now - t <= staleness) out.push_back(from);
+  for (const Neighbor& n : neighbors_)
+    if (now - n.last_heard <= staleness) out.push_back(n.id);
   return out;
 }
 
 std::vector<mac::ProbReport> PabTable::export_reports(Time now) const {
   std::vector<mac::ProbReport> out;
   // Own incoming estimates: (neighbour -> self).
-  for (const auto& [from, est] : incoming_) {
-    if (!est.avg.initialized()) continue;
-    if ((now - est.last_update).to_seconds() > kFreshnessSeconds) continue;
-    out.push_back({from, self_, est.avg.value()});
-  }
-  // Reverse direction learned from gossip: (self -> neighbour).
-  for (const auto& [key, rem] : remote_) {
-    if (key.tx != self_) continue;
-    if ((now - rem.last_update).to_seconds() > kFreshnessSeconds) continue;
-    out.push_back({key.tx, key.rx, rem.prob});
-  }
+  for (const Neighbor& n : neighbors_)
+    if (n.avg.initialized() && !stale(n.last_update, now))
+      out.push_back({n.id, self_, n.avg.value()});
+  // Reverse direction from gossip: the key range (self -> neighbour).
+  auto it = std::ranges::lower_bound(
+      remote_, self_, {}, [](const Remote& e) { return e.key.tx; });
+  for (; it != remote_.end() && it->key.tx == self_; ++it)
+    if (!stale(it->last_update, now))
+      out.push_back({self_, it->key.rx, it->prob});
   return out;
 }
 

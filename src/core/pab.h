@@ -10,8 +10,11 @@
 ///   * gossips those estimates in its own beacons;
 ///   * re-gossips what it learned so that an auxiliary BS can know, e.g.,
 ///     the anchor-to-vehicle probability without hearing the vehicle.
+///
+/// Staleness is asymmetric at 5 s, and sweep bytes depend on it: a silent
+/// neighbour gets zero samples only while < 5 s have passed since its last
+/// beacon, but `incoming`/`get`/`export_reports` still answer at exactly 5 s.
 
-#include <map>
 #include <vector>
 
 #include "mac/frame.h"
@@ -56,25 +59,23 @@ class PabTable {
   NodeId self() const { return self_; }
 
  private:
-  struct Estimate {
-    Ewma avg{0.5};
-    Time last_update;
+  struct Neighbor {  // a directly heard neighbour
+    NodeId id;
+    int count_this_second = 0;
+    Ewma avg;  // initialized by the first tick after the first beacon
+    Time last_update, last_heard;
   };
-  struct Remote {
+  struct Remote {  // gossip: P(key.tx -> key.rx) as last reported
+    sim::LinkKey key;
     double prob = 0.0;
     Time last_update;
   };
 
-  /// Gossip entries and direct estimates go stale after this long.
-  static constexpr double kFreshnessSeconds = 5.0;
-
   NodeId self_;
   int beacons_per_second_;
   double alpha_;
-  std::map<NodeId, int> counts_this_second_;
-  std::map<NodeId, Estimate> incoming_;          // from -> P(from->self)
-  std::map<sim::LinkKey, Remote> remote_;        // gossip: (from,to) -> P
-  std::map<NodeId, Time> last_heard_;
+  std::vector<Neighbor> neighbors_;  // sorted by id
+  std::vector<Remote> remote_;       // sorted by key (tx, rx)
 };
 
 }  // namespace vifi::core

@@ -5,12 +5,15 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <cstring>
 
 #include "core/id_set.h"
 #include "core/pab.h"
 #include "core/relay_policy.h"
 #include "core/stats.h"
 #include "util/contracts.h"
+#include "util/rng.h"
 
 namespace vifi::core {
 namespace {
@@ -87,6 +90,96 @@ TEST(PabTable, RecentNeighbors) {
   const auto recent =
       pab.recent_neighbors(Time::seconds(6.0), Time::seconds(3.0));
   EXPECT_EQ(recent, (std::vector<NodeId>{NodeId(2)}));
+}
+
+// The two freshness rules differ at exactly 5 s, and every live sweep's
+// bytes depend on both: `tick_second` stops feeding zeros once 5 s have
+// passed since the last beacon (`<`), while reads still answer at exactly
+// 5 s after the last update (`>` to fall back).
+TEST(PabTable, FreshnessBoundaries) {
+  PabTable pab(NodeId(9), 10, 0.5);
+  for (int i = 0; i < 10; ++i) pab.note_beacon(NodeId(1), Time::zero());
+  pab.tick_second(Time::seconds(1.0));  // 1.0
+  pab.tick_second(Time::seconds(4.0));  // 4.0 s after the beacon: 0.5
+  pab.tick_second(Time::seconds(5.0));  // exactly 5 s: no zero sample
+  EXPECT_DOUBLE_EQ(pab.incoming(NodeId(1), Time::seconds(5.0)), 0.5);
+  // Last update at 4 s: still answered at 9 s, stale a microsecond later.
+  EXPECT_DOUBLE_EQ(pab.incoming(NodeId(1), Time::seconds(9.0), -1.0), 0.5);
+  EXPECT_DOUBLE_EQ(pab.get(NodeId(1), NodeId(9), Time::seconds(9.0), -1.0),
+                   0.5);
+  EXPECT_EQ(pab.export_reports(Time::seconds(9.0)).size(), 1u);
+  const Time past = Time::seconds(9.0) + Time::micros(1);
+  EXPECT_DOUBLE_EQ(pab.incoming(NodeId(1), past, -1.0), -1.0);
+  EXPECT_TRUE(pab.export_reports(past).empty());
+
+  // Gossip: folded at 2 s, answered at 7 s, stale just after.
+  pab.fold_reports({{NodeId(9), NodeId(1), 0.7}, {NodeId(2), NodeId(3), 0.6}},
+                   Time::seconds(2.0));
+  const Time edge = Time::seconds(7.0);
+  EXPECT_DOUBLE_EQ(pab.get(NodeId(2), NodeId(3), edge, -1.0), 0.6);
+  const auto at_edge = pab.export_reports(edge);  // incoming + reverse
+  ASSERT_EQ(at_edge.size(), 2u);
+  EXPECT_EQ(at_edge[1].from, NodeId(9));
+  EXPECT_EQ(at_edge[1].to, NodeId(1));
+  EXPECT_DOUBLE_EQ(
+      pab.get(NodeId(2), NodeId(3), edge + Time::micros(1), -1.0), -1.0);
+  EXPECT_EQ(pab.export_reports(edge + Time::micros(1)).size(), 1u);
+}
+
+// Pins the gossip a seeded 4-node exchange produces: every beacon's
+// `export_reports` payload and, each second, every node's `get` answer for
+// every ordered pair. A change to fold/export order, to an estimate's
+// arithmetic or to a freshness rule moves this digest, and with it every
+// live ViFi sweep's bytes. Doubles are hashed by their bit patterns.
+TEST(PabTable, GoldenExportDigest) {
+  constexpr int kNodes = 4;
+  std::vector<PabTable> tables;
+  for (int i = 0; i < kNodes; ++i) tables.emplace_back(NodeId(i), 10, 0.5);
+  Rng rng = Rng(2008).fork("pab-golden");
+  double p[kNodes][kNodes];
+  for (int a = 0; a < kNodes; ++a)
+    for (int b = 0; b < kNodes; ++b) p[a][b] = rng.uniform(0.2, 1.0);
+  std::uint64_t digest = 14695981039346656037ull;  // FNV-1a offset basis
+  auto mix = [&digest](std::uint64_t word) {
+    for (int b = 0; b < 8; ++b) {
+      digest ^= (word >> (8 * b)) & 0xff;
+      digest *= 1099511628211ull;
+    }
+  };
+  auto mix_double = [&mix](double v) {
+    std::uint64_t bits = 0;
+    std::memcpy(&bits, &v, sizeof bits);
+    mix(bits);
+  };
+  std::size_t reports = 0;
+  for (int tick = 1; tick <= 300; ++tick) {  // 100 ms beacons for 30 s
+    const Time now = Time::millis(100.0 * tick);
+    for (int a = 0; a < kNodes; ++a) {
+      // Node 3 falls silent from 12 s to 24 s, so its estimates go stale.
+      if (a == 3 && now > Time::seconds(12.0) && now < Time::seconds(24.0))
+        continue;
+      const auto out = tables[a].export_reports(now);
+      reports += out.size();
+      for (const mac::ProbReport& r : out) {
+        mix(static_cast<std::uint64_t>(r.from.value()));
+        mix(static_cast<std::uint64_t>(r.to.value()));
+        mix_double(r.prob);
+      }
+      for (int b = 0; b < kNodes; ++b) {
+        if (b == a || !rng.bernoulli(p[a][b])) continue;
+        tables[b].note_beacon(NodeId(a), now);
+        tables[b].fold_reports(out, now);
+      }
+    }
+    if (tick % 10 != 0) continue;
+    for (PabTable& t : tables) t.tick_second(now);
+    for (const PabTable& t : tables)
+      for (int a = 0; a < kNodes; ++a)
+        for (int b = 0; b < kNodes; ++b)
+          if (a != b) mix_double(t.get(NodeId(a), NodeId(b), now, -1.0));
+  }
+  EXPECT_GT(reports, 2000u);
+  EXPECT_EQ(digest, 0x3fe96c45bab3238full);
 }
 
 // --------------------------------------------------------- Relay policy --

@@ -1,7 +1,7 @@
 // Parameterized property suites (TEST_P sweeps) over the library's core
 // invariants: session accounting, relay-probability guarantees, channel
-// processes and pair state, CDFs, TCP delivery exactness, and time
-// arithmetic.
+// processes and pair state, the pab table against its map-based reference,
+// CDFs, TCP delivery exactness, and time arithmetic.
 
 #include <gtest/gtest.h>
 
@@ -22,10 +22,14 @@
 #include "channel/vehicular.h"
 #include "core/pab.h"
 #include "core/relay_policy.h"
+#include "mac/frame.h"
 #include "mobility/vec2.h"
+#include "sim/ids.h"
 #include "util/cdf.h"
+#include "util/ewma.h"
 #include "util/rng.h"
 #include "util/stats.h"
+#include "util/time.h"
 
 namespace vifi {
 namespace {
@@ -334,6 +338,231 @@ TEST(VehicularChannel, PairStateIsIndependentOfFirstTouch) {
   EXPECT_GT(delivered, 0);
   EXPECT_LT(delivered, static_cast<int>(seq_ref.size()));
   EXPECT_GT(out_of_range, 0);
+}
+
+// ------------------------------------------- PabTable vs. a map reference --
+
+/// The map-based `PabTable` the flat sorted tables replaced, kept as a
+/// reference model with the same logic. It also counts the edge cases a
+/// random sequence reached, so the differential test can require each.
+class MapPabTable {
+ public:
+  struct Coverage {
+    int middle_inserts = 0;   // a new gossip key between two known ones
+    int overwrites = 0;       // a gossip key reported again
+    int stale_reads = 0;      // a known entry answered with the fallback
+    int first_seconds = 0;    // a neighbour's first tick
+    int aged_out = 0;         // a silent neighbour past freshness
+  };
+
+  MapPabTable(sim::NodeId self, int beacons_per_second, double alpha)
+      : self_(self), beacons_per_second_(beacons_per_second), alpha_(alpha) {}
+
+  void note_beacon(sim::NodeId from, Time now) {
+    ++counts_this_second_[from];
+    last_heard_[from] = now;
+  }
+
+  void fold_reports(const std::vector<mac::ProbReport>& reports, Time now) {
+    for (const mac::ProbReport& r : reports) {
+      if (!r.from.valid() || !r.to.valid()) continue;
+      if (r.to == self_) continue;
+      const sim::LinkKey key{r.from, r.to};
+      const auto at = remote_.lower_bound(key);
+      if (at != remote_.end() && at->first == key)
+        ++coverage.overwrites;
+      else if (at != remote_.begin() && at != remote_.end())
+        ++coverage.middle_inserts;
+      remote_[key] = {std::clamp(r.prob, 0.0, 1.0), now};
+    }
+  }
+
+  void tick_second(Time now) {
+    for (auto& [from, est] : incoming_) {
+      const auto it = counts_this_second_.find(from);
+      const int c = it == counts_this_second_.end() ? 0 : it->second;
+      const auto lh = last_heard_.find(from);
+      const bool fresh = lh != last_heard_.end() &&
+                         (now - lh->second).to_seconds() < kFreshnessSeconds;
+      if (c > 0 || fresh) {
+        est.avg.update(std::min(
+            1.0, static_cast<double>(c) / beacons_per_second_));
+        est.last_update = now;
+      } else {
+        ++coverage.aged_out;
+      }
+    }
+    for (const auto& [from, c] : counts_this_second_) {
+      if (incoming_.contains(from)) continue;
+      ++coverage.first_seconds;
+      Estimate est;
+      est.avg = Ewma(alpha_);
+      est.avg.update(
+          std::min(1.0, static_cast<double>(c) / beacons_per_second_));
+      est.last_update = now;
+      incoming_.emplace(from, est);
+    }
+    counts_this_second_.clear();
+  }
+
+  double incoming(sim::NodeId from, Time now, double fallback) {
+    const auto it = incoming_.find(from);
+    if (it == incoming_.end() || !it->second.avg.initialized())
+      return fallback;
+    if ((now - it->second.last_update).to_seconds() > kFreshnessSeconds) {
+      ++coverage.stale_reads;
+      return fallback;
+    }
+    return it->second.avg.value();
+  }
+
+  double get(sim::NodeId from, sim::NodeId to, Time now, double fallback) {
+    if (to == self_) return incoming(from, now, fallback);
+    const auto it = remote_.find({from, to});
+    if (it == remote_.end()) return fallback;
+    if ((now - it->second.last_update).to_seconds() > kFreshnessSeconds) {
+      ++coverage.stale_reads;
+      return fallback;
+    }
+    return it->second.prob;
+  }
+
+  std::vector<sim::NodeId> recent_neighbors(Time now, Time staleness) const {
+    std::vector<sim::NodeId> out;
+    for (const auto& [from, t] : last_heard_)
+      if (now - t <= staleness) out.push_back(from);
+    return out;
+  }
+
+  std::vector<mac::ProbReport> export_reports(Time now) const {
+    std::vector<mac::ProbReport> out;
+    for (const auto& [from, est] : incoming_) {
+      if (!est.avg.initialized()) continue;
+      if ((now - est.last_update).to_seconds() > kFreshnessSeconds) continue;
+      out.push_back({from, self_, est.avg.value()});
+    }
+    for (const auto& [key, rem] : remote_) {
+      if (key.tx != self_) continue;
+      if ((now - rem.last_update).to_seconds() > kFreshnessSeconds) continue;
+      out.push_back({key.tx, key.rx, rem.prob});
+    }
+    return out;
+  }
+
+  Coverage coverage;
+
+ private:
+  struct Estimate {
+    Ewma avg{0.5};
+    Time last_update;
+  };
+  struct Remote {
+    double prob = 0.0;
+    Time last_update;
+  };
+  static constexpr double kFreshnessSeconds = 5.0;
+
+  sim::NodeId self_;
+  int beacons_per_second_;
+  double alpha_;
+  std::map<sim::NodeId, int> counts_this_second_;
+  std::map<sim::NodeId, Estimate> incoming_;
+  std::map<sim::LinkKey, Remote> remote_;
+  std::map<sim::NodeId, Time> last_heard_;
+};
+
+void expect_same_reports(const std::vector<mac::ProbReport>& got,
+                         const std::vector<mac::ProbReport>& want) {
+  ASSERT_EQ(got.size(), want.size());
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    EXPECT_EQ(got[i].from, want[i].from);
+    EXPECT_EQ(got[i].to, want[i].to);
+    EXPECT_EQ(got[i].prob, want[i].prob);  // bit-equal, not near
+  }
+}
+
+// 1000 seeded random operation sequences drive the flat table and the map
+// reference side by side; every answer must be bit-equal. Time moves in
+// 100 ms steps with occasional multi-second gaps, so ticks and reads land
+// exactly on the 5 s freshness boundaries.
+TEST(PabTable, MatchesMapReferenceOnRandomSequences) {
+  constexpr int kIds = 12;  // node ids 0..11; -1 stands for an invalid id
+  const Rng root = Rng(2008).fork("pab-differential");
+  MapPabTable::Coverage total;
+  for (int seq = 0; seq < 1000 && !HasFailure(); ++seq) {
+    SCOPED_TRACE("sequence " + std::to_string(seq));
+    Rng rng = root.fork("seq/" + std::to_string(seq));
+    const sim::NodeId self(static_cast<int>(rng.uniform_int(0, kIds - 1)));
+    core::PabTable flat(self, 10, 0.5);
+    MapPabTable ref(self, 10, 0.5);
+    auto id_from = [&rng](int lo) {
+      return sim::NodeId(static_cast<int>(rng.uniform_int(lo, kIds - 1)));
+    };
+    auto any_id = [&id_from] { return id_from(-1); };
+    Time now = Time::zero();
+    for (int op = 0; op < 200 && !HasFailure(); ++op) {
+      now = now + Time::millis(100.0 * (rng.bernoulli(0.05)
+                                            ? rng.uniform_int(10, 80)
+                                            : rng.uniform_int(0, 3)));
+      switch (rng.uniform_int(0, 6)) {
+        case 0: {
+          const sim::NodeId from = id_from(0);
+          flat.note_beacon(from, now);
+          ref.note_beacon(from, now);
+          break;
+        }
+        case 1: {
+          std::vector<mac::ProbReport> reports(
+              static_cast<std::size_t>(rng.uniform_int(0, 6)));
+          for (mac::ProbReport& r : reports) {
+            r.from = rng.bernoulli(0.3) ? self : any_id();
+            r.to = rng.bernoulli(0.2) ? self : any_id();
+            r.prob = rng.uniform(-0.2, 1.2);
+          }
+          flat.fold_reports(reports, now);
+          ref.fold_reports(reports, now);
+          break;
+        }
+        case 2:
+          flat.tick_second(now);
+          ref.tick_second(now);
+          break;
+        case 3: {
+          const sim::NodeId from = any_id();
+          const sim::NodeId to = rng.bernoulli(0.3) ? self : any_id();
+          EXPECT_EQ(flat.get(from, to, now, -1.0),
+                    ref.get(from, to, now, -1.0));
+          break;
+        }
+        case 4: {
+          const sim::NodeId from = any_id();
+          EXPECT_EQ(flat.incoming(from, now, -1.0),
+                    ref.incoming(from, now, -1.0));
+          break;
+        }
+        case 5: {
+          const Time staleness = Time::seconds(rng.uniform_int(0, 6));
+          EXPECT_EQ(flat.recent_neighbors(now, staleness),
+                    ref.recent_neighbors(now, staleness));
+          break;
+        }
+        default:
+          expect_same_reports(flat.export_reports(now),
+                              ref.export_reports(now));
+          break;
+      }
+    }
+    total.middle_inserts += ref.coverage.middle_inserts;
+    total.overwrites += ref.coverage.overwrites;
+    total.stale_reads += ref.coverage.stale_reads;
+    total.first_seconds += ref.coverage.first_seconds;
+    total.aged_out += ref.coverage.aged_out;
+  }
+  EXPECT_GT(total.middle_inserts, 0);
+  EXPECT_GT(total.overwrites, 0);
+  EXPECT_GT(total.stale_reads, 0);
+  EXPECT_GT(total.first_seconds, 0);
+  EXPECT_GT(total.aged_out, 0);
 }
 
 // ------------------------------------------------------------- CDF sweep --
