@@ -4,6 +4,7 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <functional>
 #include <map>
 #include <memory>
 #include <optional>
@@ -100,44 +101,106 @@ std::shared_ptr<const trace::Campaign> catalog_campaign(
   return slot.campaign;
 }
 
-void run_replay(const scenario::Testbed& bed, const ExperimentPoint& point,
-                const trace::Campaign& campaign, int days, PointResult& r) {
-  // Fleet campaigns carry one trace per vehicle per trip; every vehicle's
-  // log replays under the policy and aggregates into the point's metrics.
-  // Fleet points (V > 1) additionally split deliveries per logging vehicle
-  // for the fairness columns; fleet-1 points skip this entirely so their
-  // output stays byte-identical to the pre-fairness sweeps.
+/// Everything one trip contributes to its point: the shared metric
+/// accumulation; for fleet points the per-vehicle fairness view (live
+/// trips: delivered/sent packets, airtime from the medium's ledger and
+/// the infrastructure/client occupancy split; replay trips: their logging
+/// vehicle's deliveries); the trip's span on the point's timeline; and,
+/// when the point is instrumented, the trip's own recorder and registry.
+struct TripOutcome {
   MetricAccumulator acc;
-  const bool fairness = bed.fleet_size() > 1;
-  std::map<sim::NodeId, double> per_vehicle;
-  // One timeline per point: each trip's slot-relative event times land
-  // after the previous trip's horizon.
-  obs::TraceRecorder* rec = obs::current_recorder();
-  Time trace_base = rec ? rec->time_base() : Time::zero();
-  for (const auto& trip : campaign.trips) {
-    if (rec) {
-      rec->set_time_base(trace_base);
-      trace_base = trace_base + std::max(trip.duration, Time::seconds(1.0));
+  std::vector<double> veh_delivered, veh_sent, veh_airtime_s;
+  double infra_airtime_s = 0.0, vehicle_airtime_s = 0.0;
+  Time span = Time::zero();
+  std::unique_ptr<obs::TraceRecorder> recorder;
+  std::unique_ptr<obs::MetricsRegistry> metrics;
+
+  /// \p fleet_rows per-vehicle rows: the fleet size on fleet points, else 0.
+  explicit TripOutcome(std::size_t fleet_rows = 0)
+      : veh_delivered(fleet_rows, 0.0),
+        veh_sent(fleet_rows, 0.0),
+        veh_airtime_s(fleet_rows, 0.0) {}
+
+  /// Folds \p trip in after everything added so far. Adding trips in trip
+  /// order reproduces a sequential accumulation, floating-point sums
+  /// included, bit for bit.
+  void add(const TripOutcome& trip) {
+    acc.merge(trip.acc);
+    for (std::size_t i = 0; i < veh_delivered.size(); ++i) {
+      veh_delivered[i] += trip.veh_delivered[i];
+      veh_sent[i] += trip.veh_sent[i];
+      veh_airtime_s[i] += trip.veh_airtime_s[i];
     }
-    const auto stream =
-        outcomes_to_stream(replay_trip(trip, point.policy, campaign));
-    if (fairness) {
-      double delivered = 0.0;
-      for (const int d : stream.delivered) delivered += d;
-      per_vehicle[trip.vehicle] += delivered;
-    }
-    acc.add_trip(stream, point.session);
+    infra_airtime_s += trip.infra_airtime_s;
+    vehicle_airtime_s += trip.vehicle_airtime_s;
   }
-  acc.finish(days, r);
-  if (rec) rec->set_time_base(trace_base);
-  if (fairness) {
-    std::vector<double> veh_delivered;
-    veh_delivered.reserve(bed.vehicle_ids().size());
-    for (const sim::NodeId v : bed.vehicle_ids())
-      veh_delivered.push_back(per_vehicle[v]);
-    r.metrics["fairness_jain_delivery"] = mac::jain_index(veh_delivered);
-    r.series["veh_delivered"] = std::move(veh_delivered);
+};
+
+/// A point's trips: how many, the campaign days they cover, and the body
+/// that runs trip i into its outcome. The body depends only on the point
+/// and i, and is called concurrently for different trips.
+struct PointTrips {
+  std::size_t count = 0;
+  int days = 1;
+  std::function<void(std::size_t, TripOutcome&)> run;
+};
+
+/// §3.1 replay: every logged trip of the point's campaign (its catalog's,
+/// else one generated from the point's campaign seed) replays under the
+/// policy. Fleet campaigns log one trace per vehicle per trip; each trace's
+/// deliveries count toward its vehicle's fairness row.
+PointTrips replay_trips(const ExperimentPoint& point,
+                        const scenario::Testbed& bed) {
+  std::shared_ptr<const trace::Campaign> campaign;
+  int days = point.days;
+  if (point.trace_set.empty()) {
+    scenario::CampaignConfig cfg;
+    cfg.days = point.days;
+    cfg.trips_per_day = point.trips_per_day;
+    cfg.trip_duration = point.trip_duration;
+    cfg.seed = point.campaign_seed;
+    cfg.log_probes = true;
+    cfg.log_bs_beacons = false;
+    campaign = std::make_shared<const trace::Campaign>(
+        scenario::generate_campaign(bed, cfg));
+  } else {
+    const auto catalog = resolve_catalog(point, bed);
+    // §3.1 policy replay consumes 100 ms probe slots; beacon-only
+    // catalogs (everything traceforge record/synth produces) would
+    // replay to silent all-zero metrics — fail loudly instead.
+    const bool any_slots = std::any_of(
+        catalog->traces().begin(), catalog->traces().end(),
+        [](const trace::MeasurementTrace& t) { return !t.slots.empty(); });
+    if (!any_slots)
+      throw std::runtime_error(
+          "trace set '" + point.trace_set +
+          "' carries no probe slots (beacon-only traces); the §3.1 "
+          "replay workload needs log_probes campaigns — replay this "
+          "catalog with the cbr workload instead");
+    // The History policy needs a whole Campaign by value, assembled
+    // once per catalog and shared across every point that replays it.
+    campaign = catalog_campaign(catalog);
+    days = catalog->days();
   }
+  const std::size_t count = campaign->trips.size();
+  return {count, days,
+          [&point, &bed, campaign](std::size_t i, TripOutcome& out) {
+            const trace::MeasurementTrace& trip = campaign->trips[i];
+            const auto stream = outcomes_to_stream(
+                replay_trip(trip, point.policy, *campaign));
+            out.acc.add_trip(stream, point.session);
+            // Slot-relative event times: the next trip starts after this
+            // trip's horizon.
+            out.span = std::max(trip.duration, Time::seconds(1.0));
+            if (out.veh_delivered.empty()) return;
+            const auto& ids = bed.vehicle_ids();
+            const auto v = std::find(ids.begin(), ids.end(), trip.vehicle);
+            if (v == ids.end()) return;
+            double delivered = 0.0;
+            for (const int d : stream.delivered) delivered += d;
+            out.veh_delivered[static_cast<std::size_t>(v - ids.begin())] =
+                delivered;
+          }};
 }
 
 /// The live stack configuration a point runs under (§5.2): policy switches,
@@ -202,29 +265,12 @@ void seed_coordination(const ExperimentPoint& point,
   sys.coord.history = coord::fit_history(trips);
 }
 
-/// Everything one live trip contributes to its point: the shared metric
-/// accumulation plus — for fleet points — the per-vehicle fairness view
-/// (delivered/sent packets, airtime from the medium's ledger, and the
-/// infrastructure/client occupancy split).
-struct LiveTripOutcome {
-  MetricAccumulator acc;
-  std::vector<double> veh_delivered, veh_sent, veh_airtime_s;
-  double infra_airtime_s = 0.0, vehicle_airtime_s = 0.0;
-  Time sim_end = Time::zero();  ///< Final simulator clock (recorder base).
-};
-
-/// Runs one already-constructed live trip to its horizon and measures it.
-/// \p trace_horizon carries a replay trip's absolute schedule horizon;
-/// nullopt means a stochastic trip (one route lap). The exact trip body of
-/// run_cbr, shared with the sharded executor so the two paths cannot
-/// drift.
-LiveTripOutcome measure_live_trip(const scenario::Testbed& bed,
-                                  const ExperimentPoint& point,
-                                  scenario::LiveTrip& live,
-                                  std::optional<Time> trace_horizon,
-                                  bool fairness) {
-  const std::size_t fleet = static_cast<std::size_t>(bed.fleet_size());
-  LiveTripOutcome out;
+/// Runs one already-constructed live trip to its horizon and measures it
+/// into \p out. \p trace_horizon carries a replay trip's absolute schedule
+/// horizon; nullopt means a stochastic trip (one route lap).
+void measure_live_trip(const scenario::Testbed& bed,
+                       const ExperimentPoint& point, scenario::LiveTrip& live,
+                       std::optional<Time> trace_horizon, TripOutcome& out) {
   live.run_until(scenario::LiveTrip::warmup());
   // One CBR probe stream per vehicle, all sharing the trip's medium —
   // fleet points measure the stack under real multi-client contention.
@@ -244,7 +290,9 @@ LiveTripOutcome measure_live_trip(const scenario::Testbed& bed,
           : live.simulator().now() + bed.trip_duration();
   for (auto& cbr : cbrs) cbr->start(end);
   live.run_until(end + Time::seconds(1.0));
-  out.sim_end = live.simulator().now();
+  // Each trip's simulator restarts at zero: the next trip's events land
+  // after this one's final clock.
+  out.span = live.simulator().now();
   if (obs::MetricsRegistry* metrics = obs::current_metrics()) {
     live.system().medium().publish(*metrics);
     live.system().stats().publish(*metrics);
@@ -252,71 +300,97 @@ LiveTripOutcome measure_live_trip(const scenario::Testbed& bed,
     if (live.coord() != nullptr) live.coord()->publish(*metrics);
   }
   for (auto& cbr : cbrs) out.acc.add_trip(cbr->slot_stream(), point.session);
-  if (fairness) {
-    out.veh_delivered.assign(fleet, 0.0);
-    out.veh_sent.assign(fleet, 0.0);
-    out.veh_airtime_s.assign(fleet, 0.0);
-    const mac::MediumStats ms = live.medium_stats();
-    for (std::size_t i = 0; i < fleet; ++i) {
-      out.veh_delivered[i] = static_cast<double>(cbrs[i]->delivered());
-      out.veh_sent[i] = static_cast<double>(cbrs[i]->sent());
-      const mac::NodeAirtime& row = ms.node(bed.vehicle_ids()[i]);
-      out.veh_airtime_s[i] = (row.tx_airtime + row.rx_airtime).to_seconds();
-    }
-    out.infra_airtime_s =
-        ms.tx_airtime(mac::NodeRole::Infrastructure).to_seconds();
-    out.vehicle_airtime_s =
-        ms.tx_airtime(mac::NodeRole::Vehicle).to_seconds();
+  if (out.veh_delivered.empty()) return;
+  const mac::MediumStats ms = live.medium_stats();
+  for (std::size_t i = 0; i < out.veh_delivered.size(); ++i) {
+    out.veh_delivered[i] = static_cast<double>(cbrs[i]->delivered());
+    out.veh_sent[i] = static_cast<double>(cbrs[i]->sent());
+    const mac::NodeAirtime& row = ms.node(bed.vehicle_ids()[i]);
+    out.veh_airtime_s[i] = (row.tx_airtime + row.rx_airtime).to_seconds();
   }
-  return out;
+  out.infra_airtime_s =
+      ms.tx_airtime(mac::NodeRole::Infrastructure).to_seconds();
+  out.vehicle_airtime_s = ms.tx_airtime(mac::NodeRole::Vehicle).to_seconds();
 }
 
-/// Point-level fold of one trip's outcome: the += sequence matches the
-/// historical in-loop accumulation exactly (per-trip values added in trip
-/// order), keeping floating-point sums bit-identical.
-struct LiveFold {
-  MetricAccumulator acc;
-  std::vector<double> veh_delivered, veh_sent, veh_airtime_s;
-  double infra_airtime_s = 0.0, vehicle_airtime_s = 0.0;
-
-  explicit LiveFold(std::size_t fleet)
-      : veh_delivered(fleet, 0.0),
-        veh_sent(fleet, 0.0),
-        veh_airtime_s(fleet, 0.0) {}
-
-  void add(const LiveTripOutcome& out, bool fairness) {
-    acc.merge(out.acc);
-    if (!fairness) return;
-    for (std::size_t i = 0; i < veh_delivered.size(); ++i) {
-      veh_delivered[i] += out.veh_delivered[i];
-      veh_sent[i] += out.veh_sent[i];
-      veh_airtime_s[i] += out.veh_airtime_s[i];
-    }
-    infra_airtime_s += out.infra_airtime_s;
-    vehicle_airtime_s += out.vehicle_airtime_s;
+/// §5.2 live CBR: stochastic trips draw a fresh channel; catalog trips
+/// drive the fleet loss schedule from their trip group's traces. Coord
+/// points load the whole catalog for the history fit (through the shared
+/// cache, parsed once per process) and read each group from it; other
+/// catalog points stream each group from disk in the trip that replays it,
+/// so memory scales with the fleet times one trip, not the whole catalog.
+PointTrips live_trips(const ExperimentPoint& point,
+                      const scenario::Testbed& bed) {
+  std::shared_ptr<const tracegen::TraceCatalog> catalog;
+  std::optional<tracegen::CatalogStream> stream;
+  if (!point.trace_set.empty() && point.coordination == "coord") {
+    catalog = resolve_catalog(point, bed);
+  } else if (!point.trace_set.empty()) {
+    stream = tracegen::CatalogStream::open(point.trace_set);
+    validate_catalog_shape(point, bed, stream->testbed(),
+                           stream->fleet_size(), stream->vehicle_ids());
   }
-};
+  core::SystemConfig sys = live_system_config(point, bed);
+  seed_coordination(point, bed, catalog.get(), sys);
+  // Catalog points run every trip group exactly once; the point's
+  // days/trips knobs describe generated campaigns only.
+  const std::size_t count =
+      catalog != nullptr  ? catalog->trip_groups()
+      : stream.has_value() ? stream->trip_groups()
+                           : static_cast<std::size_t>(
+                                 std::max(0, point.days * point.trips_per_day));
+  const int days = catalog != nullptr  ? catalog->days()
+                   : stream.has_value() ? stream->days()
+                                        : point.days;
+  return {count, days,
+          [&point, &bed, sys = std::move(sys), catalog,
+           stream = std::move(stream)](std::size_t i, TripOutcome& out) {
+            const std::uint64_t seed =
+                mix_seed(point.point_seed, static_cast<std::uint64_t>(i));
+            if (catalog == nullptr && !stream.has_value()) {
+              scenario::LiveTrip live(bed, sys, seed);
+              measure_live_trip(bed, point, live, std::nullopt, out);
+              return;
+            }
+            std::vector<trace::MeasurementTrace> loaded;
+            std::vector<const trace::MeasurementTrace*> group;
+            if (catalog != nullptr) {
+              group = catalog->fleet_trip(i);
+            } else {
+              loaded = stream->load_group(i);
+              for (const trace::MeasurementTrace& t : loaded)
+                group.push_back(&t);
+            }
+            scenario::LiveTrip live(bed, group, sys, seed);
+            measure_live_trip(bed, point, live, group.front()->duration,
+                              out);
+          }};
+}
 
-/// Shared tail of the live paths: metric distillation, fairness columns
-/// (fleet points only) and §5.3.2 call quality.
-void finish_live_point(const LiveFold& fold, int days, bool fairness,
-                       PointResult& r) {
-  fold.acc.finish(days, r);
-  if (fairness) {
-    double min_rate = 1.0;
-    for (std::size_t i = 0; i < fold.veh_delivered.size(); ++i)
-      min_rate = std::min(min_rate, fold.veh_sent[i] > 0.0
-                                        ? fold.veh_delivered[i] /
-                                              fold.veh_sent[i]
-                                        : 0.0);
-    r.metrics["airtime_infra_s"] = fold.infra_airtime_s;
-    r.metrics["airtime_vehicle_s"] = fold.vehicle_airtime_s;
-    r.metrics["fairness_jain_airtime"] = mac::jain_index(fold.veh_airtime_s);
+/// The point's result columns from its folded trips: the shared metric
+/// set, the fairness columns (fleet points only) and, for live points,
+/// §5.3.2 call quality.
+void finish_point(const TripOutcome& total, int days, bool live,
+                  PointResult& r) {
+  total.acc.finish(days, r);
+  if (!total.veh_delivered.empty()) {
     r.metrics["fairness_jain_delivery"] =
-        mac::jain_index(fold.veh_delivered);
+        mac::jain_index(total.veh_delivered);
+    r.series["veh_delivered"] = total.veh_delivered;
+  }
+  if (!live) return;
+  if (!total.veh_delivered.empty()) {
+    double min_rate = 1.0;
+    for (std::size_t i = 0; i < total.veh_delivered.size(); ++i)
+      min_rate = std::min(min_rate, total.veh_sent[i] > 0.0
+                                        ? total.veh_delivered[i] /
+                                              total.veh_sent[i]
+                                        : 0.0);
+    r.metrics["airtime_infra_s"] = total.infra_airtime_s;
+    r.metrics["airtime_vehicle_s"] = total.vehicle_airtime_s;
+    r.metrics["fairness_jain_airtime"] = mac::jain_index(total.veh_airtime_s);
     r.metrics["per_vehicle_delivery_min"] = min_rate;
-    r.series["veh_airtime_s"] = fold.veh_airtime_s;
-    r.series["veh_delivered"] = fold.veh_delivered;
+    r.series["veh_airtime_s"] = total.veh_airtime_s;
   }
 
   // §5.3.2 call quality under the fixed delay budget, charging half the
@@ -326,70 +400,6 @@ void finish_live_point(const LiveFold& fold, int days, bool fairness,
                           budget.wired_ms + budget.wireless_deadline_ms() / 2;
   r.metrics["mos"] =
       apps::mos_g729(delay_ms, 1.0 - r.metrics["delivery_rate"]);
-}
-
-void run_cbr(const scenario::Testbed& bed, const ExperimentPoint& point,
-             const tracegen::TraceCatalog* catalog, PointResult& r) {
-  core::SystemConfig sys = live_system_config(point, bed);
-  seed_coordination(point, bed, catalog, sys);
-
-  // Replay points run every trip group of their catalog exactly once; the
-  // point's days/trips knobs describe generated campaigns only.
-  const int trips = catalog != nullptr
-                        ? static_cast<int>(catalog->trip_groups())
-                        : point.days * point.trips_per_day;
-  const int days = catalog != nullptr ? catalog->days() : point.days;
-  // Fleet points (V > 1) accumulate the per-vehicle fairness view on top
-  // of the shared metric set; fleet-1 points skip all of it so their
-  // output bytes stay identical to the single-vehicle sweeps.
-  const std::size_t fleet = static_cast<std::size_t>(bed.fleet_size());
-  const bool fairness = fleet > 1;
-  LiveFold fold(fleet);
-  // One timeline per point: each trip's simulator restarts at zero, so the
-  // recorder's base advances by the previous trip's horizon.
-  obs::TraceRecorder* rec = obs::current_recorder();
-  Time trace_base = rec ? rec->time_base() : Time::zero();
-  // When a metrics session is on, each trip publishes into its own
-  // registry, folded into the session's in trip order — the *same* fold
-  // the sharded executor performs, so histogram/counter sums come out
-  // byte-identical whichever path ran the point.
-  obs::MetricsRegistry* session_metrics = obs::current_metrics();
-  for (int trip = 0; trip < trips; ++trip) {
-    if (rec) rec->set_time_base(trace_base);
-    std::optional<obs::MetricsRegistry> trip_metrics;
-    std::optional<obs::MetricsScope> trip_metrics_scope;
-    if (session_metrics != nullptr) {
-      trip_metrics.emplace();
-      trip_metrics_scope.emplace(*trip_metrics);
-    }
-    const std::uint64_t trip_seed =
-        mix_seed(point.point_seed, static_cast<std::uint64_t>(trip));
-    // Replay trips drive the fleet loss schedule straight from the
-    // catalog's traces; stochastic trips draw a fresh channel.
-    const auto live_ptr =
-        catalog != nullptr
-            ? std::make_unique<scenario::LiveTrip>(
-                  bed, *catalog, static_cast<std::size_t>(trip), sys,
-                  trip_seed)
-            : std::make_unique<scenario::LiveTrip>(bed, sys, trip_seed);
-    const std::optional<Time> horizon =
-        catalog != nullptr
-            ? std::optional<Time>(
-                  catalog->fleet_trip(static_cast<std::size_t>(trip))
-                      .front()
-                      ->duration)
-            : std::nullopt;
-    const LiveTripOutcome out =
-        measure_live_trip(bed, point, *live_ptr, horizon, fairness);
-    if (rec) trace_base = trace_base + out.sim_end;
-    if (session_metrics != nullptr) {
-      trip_metrics_scope.reset();
-      session_metrics->merge(*trip_metrics);
-    }
-    fold.add(out, fairness);
-  }
-  if (rec) rec->set_time_base(trace_base);
-  finish_live_point(fold, days, fairness, r);
 }
 
 /// The recorder a point that owns its session records into: ring-backed
@@ -449,6 +459,32 @@ void export_tripscope(const ExperimentPoint& point, PointResult& r,
       mjson << own_metrics->to_json();
     }
   }
+}
+
+/// A trip's own recorder, of its session's kind: a part spool beside a
+/// streaming session's spool, else a ring of the session's capacity.
+/// Absorbed in trip order, either reproduces exactly what recording the
+/// trips directly into the session would have (spool bytes included).
+std::unique_ptr<obs::TraceRecorder> trip_recorder(
+    const obs::TraceRecorder& session, std::size_t trip) {
+  if (!session.streaming())
+    return std::make_unique<obs::TraceRecorder>(session.per_node_capacity());
+  char part[24];
+  std::snprintf(part, sizeof(part), ".trip%05zu.part", trip);
+  return std::make_unique<obs::TraceRecorder>(
+      std::make_unique<obs::StreamSink>(session.spool_path() + part));
+}
+
+/// Drops a trip recorder, deleting a streaming one's part spool with it.
+void release(std::unique_ptr<obs::TraceRecorder>& recorder) {
+  if (recorder == nullptr || !recorder->streaming()) {
+    recorder.reset();
+    return;
+  }
+  const std::string part = recorder->spool_path();
+  recorder.reset();
+  std::error_code ignored;  // A leftover part file changes no result.
+  std::filesystem::remove(part, ignored);
 }
 
 }  // namespace
@@ -546,14 +582,12 @@ std::vector<handoff::SlotOutcome> replay_trip(
 }
 
 PointResult run_point(const ExperimentPoint& point) {
-  PointResult r;
-  r.index = point.index;
-  r.testbed = point.testbed;
-  r.fleet = point.fleet_size;
-  r.trace_set = point.trace_set;
-  r.policy = point.policy;
-  r.coordination = point.coordination;
-  r.seed = point.seed;
+  return run_point_sharded(point, Runner(RunnerOptions{1}));
+}
+
+PointResult run_point_sharded(const ExperimentPoint& point,
+                              const Runner& pool) {
+  PointResult r = result_header(point);
 
   // TripScope session. A caller (e.g. examples/tripscope) may have
   // installed a recorder/registry on this thread already — the point then
@@ -575,208 +609,87 @@ PointResult run_point(const ExperimentPoint& point) {
       metrics_scope.emplace(*own_metrics);
     }
   }
+  obs::TraceRecorder* const session_rec = obs::current_recorder();
+  obs::MetricsRegistry* const session_metrics = obs::current_metrics();
 
   const scenario::Testbed bed = make_testbed(point.testbed, point.fleet_size);
-  std::shared_ptr<const tracegen::TraceCatalog> catalog;
-  if (!point.trace_set.empty()) catalog = resolve_catalog(point, bed);
+  PointTrips trips;
   if (point.workload == "replay") {
-    if (catalog == nullptr) {
-      scenario::CampaignConfig cfg;
-      cfg.days = point.days;
-      cfg.trips_per_day = point.trips_per_day;
-      cfg.trip_duration = point.trip_duration;
-      cfg.seed = point.campaign_seed;
-      cfg.log_probes = true;
-      cfg.log_bs_beacons = false;
-      run_replay(bed, point, scenario::generate_campaign(bed, cfg),
-                 point.days, r);
-    } else {
-      // §3.1 policy replay consumes 100 ms probe slots; beacon-only
-      // catalogs (everything traceforge record/synth produces) would
-      // replay to silent all-zero metrics — fail loudly instead.
-      const bool any_slots = std::any_of(
-          catalog->traces().begin(), catalog->traces().end(),
-          [](const trace::MeasurementTrace& t) { return !t.slots.empty(); });
-      if (!any_slots)
-        throw std::runtime_error(
-            "trace set '" + point.trace_set +
-            "' carries no probe slots (beacon-only traces); the §3.1 "
-            "replay workload needs log_probes campaigns — replay this "
-            "catalog with the cbr workload instead");
-      // The History policy needs a whole Campaign by value, assembled
-      // once per catalog and shared across every point that replays it.
-      run_replay(bed, point, *catalog_campaign(catalog), catalog->days(), r);
-    }
+    trips = replay_trips(point, bed);
   } else if (point.workload == "cbr") {
-    run_cbr(bed, point, catalog.get(), r);
+    trips = live_trips(point, bed);
   } else {
     VIFI_EXPECTS(!"unknown workload (expected replay/cbr)");
   }
+  // Fleet points (V > 1) carry the per-vehicle fairness view on top of the
+  // shared metric set; fleet-1 points skip all of it so their output bytes
+  // stay identical to the single-vehicle sweeps.
+  const std::size_t rows =
+      bed.fleet_size() > 1 ? static_cast<std::size_t>(bed.fleet_size()) : 0;
 
-  export_tripscope(point, r, own_recorder.get(), obs::current_metrics(),
-                   own_metrics.get());
-  return r;
-}
-
-PointResult run_point_sharded(const ExperimentPoint& point,
-                              const Runner& pool) {
-  // The sharded path covers catalog-replay live points — instrumented or
-  // not. Everything else falls back to the sequential executor (stochastic
-  // trips draw their channel per point, and the replay workload's campaign
-  // caching is inherently per-point).
-  if (point.workload != "cbr" || point.trace_set.empty())
-    return run_point(point);
-
-  PointResult r;
-  r.index = point.index;
-  r.testbed = point.testbed;
-  r.fleet = point.fleet_size;
-  r.trace_set = point.trace_set;
-  r.policy = point.policy;
-  r.coordination = point.coordination;
-  r.seed = point.seed;
-
-  // TripScope session, mirroring run_point: record into the caller's
-  // ambient recorder/registry when one is installed, else into point-owned
-  // ones when the point asks for a trace dump or metric columns.
-  obs::TraceRecorder* session_rec = obs::current_recorder();
-  obs::MetricsRegistry* session_metrics = obs::current_metrics();
-  std::unique_ptr<obs::TraceRecorder> own_recorder;
-  std::unique_ptr<obs::MetricsRegistry> own_metrics;
-  if (!point.trace_dir.empty() || !point.metric_columns.empty()) {
-    if (session_rec == nullptr) {
-      own_recorder = make_point_recorder(point);
-      session_rec = own_recorder.get();
-    }
-    if (session_metrics == nullptr) {
-      own_metrics = std::make_unique<obs::MetricsRegistry>();
-      session_metrics = own_metrics.get();
-    }
-  }
-
-  const scenario::Testbed bed = make_testbed(point.testbed, point.fleet_size);
-  const tracegen::CatalogStream stream =
-      tracegen::CatalogStream::open(point.trace_set);
-  validate_catalog_shape(point, bed, stream.testbed(), stream.fleet_size(),
-                         stream.vehicle_ids());
-  core::SystemConfig sys = live_system_config(point, bed);
-  // The history fit wants the whole catalog at once; only the coord axis
-  // pays for that load (it comes from the shared cache anyway).
-  std::shared_ptr<const tracegen::TraceCatalog> history_catalog;
-  if (point.coordination == "coord")
-    history_catalog = tracegen::load_catalog_shared(point.trace_set);
-  seed_coordination(point, bed, history_catalog.get(), sys);
-  const std::size_t fleet = static_cast<std::size_t>(bed.fleet_size());
-  const bool fairness = fleet > 1;
-
-  // Each worker materialises only its own trip group's traces, runs the
-  // exact trip body run_cbr runs, and returns the trip's contribution as a
-  // PointResult-encoded partial. Every trip is a pure function of (point,
-  // trip index), so the partial set is sharding-independent. Instrumented
-  // points give each trip its own recorder/registry (slot-indexed, no
-  // contention), stitched into the session in trip order after the pool
-  // drains — the same fold run_cbr performs, so the output bytes match.
-  const std::size_t n = stream.trip_groups();
-  std::vector<std::unique_ptr<obs::TraceRecorder>> trip_recorders(
-      session_rec != nullptr ? n : 0);
-  std::vector<std::unique_ptr<obs::MetricsRegistry>> trip_registries(
-      session_metrics != nullptr ? n : 0);
-  std::vector<Time> trip_ends(session_rec != nullptr ? n : 0);
-  const ResultSink partials = pool.run_indexed(
-      n, [&](std::size_t trip) {
-        PointResult p;
-        p.index = trip;
-        // The trip scope must be live before LiveTrip's construction:
-        // VifiSystem labels its nodes through current_recorder().
-        std::optional<obs::TraceScope> trip_trace_scope;
-        std::optional<obs::MetricsScope> trip_metrics_scope;
+  // Map each trip to its outcome on whichever worker claims it, then fold
+  // the outcomes in trip order: metric and fairness sums, the timeline
+  // (each trip's events land after the previous trips' spans) and the
+  // registries all replay a sequential accumulation exactly, so the bytes
+  // do not depend on the pool size. The fold drains as soon as the next
+  // trip is ready. A trip that starts once every earlier trip is folded
+  // records straight into the session at the running base; any other trip
+  // records into its own recorder, absorbed when its turn comes — the
+  // same bytes either way. So a pool of one records as a plain sequential
+  // loop would, with no per-trip ring or part spool.
+  std::vector<TripOutcome> outcomes(trips.count);
+  std::mutex fold_mu;  // Guards ready, next, total, base and the session.
+  std::vector<bool> ready(trips.count, false);
+  std::size_t next = 0;
+  TripOutcome total(rows);
+  Time base = session_rec != nullptr ? session_rec->time_base() : Time::zero();
+  try {
+    pool.for_each_index(trips.count, [&](std::size_t i) {
+      TripOutcome& out = outcomes[i] = TripOutcome(rows);
+      {
+        // Instrumented trips install their recorder/registry before the
+        // trip is built (VifiSystem labels its nodes through
+        // current_recorder()).
+        std::optional<obs::TraceScope> trip_trace;
+        std::optional<obs::MetricsScope> trip_metrics;
         if (session_rec != nullptr) {
-          if (session_rec->streaming()) {
-            // Per-trip part spools beside the session spool; absorbed in
-            // trip order and deleted after the stitch, they reproduce the
-            // sequential push sequence (hence the session spool's bytes)
-            // for any worker count.
-            char part[24];
-            std::snprintf(part, sizeof(part), ".trip%05zu.part", trip);
-            trip_recorders[trip] = std::make_unique<obs::TraceRecorder>(
-                std::make_unique<obs::StreamSink>(session_rec->spool_path() +
-                                                  part));
+          const std::lock_guard<std::mutex> lock(fold_mu);
+          // While next == i nothing else touches the session: earlier
+          // trips are folded and later ones wait for this one.
+          if (next == i) {
+            session_rec->set_time_base(base);
+            trip_trace.emplace(*session_rec);
           } else {
-            trip_recorders[trip] = std::make_unique<obs::TraceRecorder>(
-                session_rec->per_node_capacity());
+            out.recorder = trip_recorder(*session_rec, i);
+            trip_trace.emplace(*out.recorder);
           }
-          trip_trace_scope.emplace(*trip_recorders[trip]);
         }
         if (session_metrics != nullptr) {
-          trip_registries[trip] = std::make_unique<obs::MetricsRegistry>();
-          trip_metrics_scope.emplace(*trip_registries[trip]);
+          out.metrics = std::make_unique<obs::MetricsRegistry>();
+          trip_metrics.emplace(*out.metrics);
         }
-        const std::vector<trace::MeasurementTrace> traces =
-            stream.load_group(trip);
-        std::vector<const trace::MeasurementTrace*> ptrs;
-        ptrs.reserve(traces.size());
-        for (const trace::MeasurementTrace& t : traces) ptrs.push_back(&t);
-        scenario::LiveTrip live(
-            bed, ptrs, sys,
-            mix_seed(point.point_seed, static_cast<std::uint64_t>(trip)));
-        const LiveTripOutcome out = measure_live_trip(
-            bed, point, live, traces.front().duration, fairness);
-        if (session_rec != nullptr) trip_ends[trip] = out.sim_end;
-        p.metrics["slots"] = static_cast<double>(out.acc.slots);
-        p.metrics["delivered"] = static_cast<double>(out.acc.delivered);
-        p.series["session_lengths"] = out.acc.session_lengths;
-        p.series["throughput_kbps"] = out.acc.throughput_kbps;
-        if (fairness) {
-          p.metrics["infra_airtime_s"] = out.infra_airtime_s;
-          p.metrics["vehicle_airtime_s"] = out.vehicle_airtime_s;
-          p.series["veh_delivered"] = out.veh_delivered;
-          p.series["veh_sent"] = out.veh_sent;
-          p.series["veh_airtime_s"] = out.veh_airtime_s;
-        }
-        return p;
-      });
-
-  // Fold in trip order — ordered() restores it regardless of which worker
-  // ran which trip — so every floating-point sum replays the sequential
-  // executor's exact accumulation sequence.
-  LiveFold fold(fleet);
-  for (const PointResult& p : partials.ordered()) {
-    if (!p.error.empty())
-      throw std::runtime_error("trip " + std::to_string(p.index) + ": " +
-                               p.error);
-    LiveTripOutcome out;
-    out.acc.slots = static_cast<std::int64_t>(p.metrics.at("slots"));
-    out.acc.delivered = static_cast<std::int64_t>(p.metrics.at("delivered"));
-    out.acc.session_lengths = p.series.at("session_lengths");
-    out.acc.throughput_kbps = p.series.at("throughput_kbps");
-    if (fairness) {
-      out.infra_airtime_s = p.metrics.at("infra_airtime_s");
-      out.vehicle_airtime_s = p.metrics.at("vehicle_airtime_s");
-      out.veh_delivered = p.series.at("veh_delivered");
-      out.veh_sent = p.series.at("veh_sent");
-      out.veh_airtime_s = p.series.at("veh_airtime_s");
-    }
-    fold.add(out, fairness);
-  }
-  // Stitch the per-trip observability sessions in trip order, replaying
-  // run_cbr's timeline advance and registry fold exactly.
-  if (session_rec != nullptr) {
-    Time trace_base = session_rec->time_base();
-    for (std::size_t trip = 0; trip < n; ++trip) {
-      session_rec->absorb(*trip_recorders[trip], trace_base);
-      trace_base = trace_base + trip_ends[trip];
-      if (trip_recorders[trip]->streaming()) {
-        const std::string part = trip_recorders[trip]->spool_path();
-        trip_recorders[trip].reset();
-        std::filesystem::remove(part);
+        trips.run(i, out);
       }
-    }
-    session_rec->set_time_base(trace_base);
+      const std::lock_guard<std::mutex> lock(fold_mu);
+      ready[i] = true;
+      for (; next < trips.count && ready[next]; ++next) {
+        TripOutcome& trip = outcomes[next];
+        total.add(trip);
+        if (trip.recorder != nullptr) {
+          session_rec->absorb(*trip.recorder, base);
+          release(trip.recorder);
+        }
+        if (session_rec != nullptr) base = base + trip.span;
+        if (trip.metrics != nullptr) session_metrics->merge(*trip.metrics);
+        trip = TripOutcome();
+      }
+    });
+  } catch (...) {
+    for (TripOutcome& trip : outcomes) release(trip.recorder);
+    throw;
   }
-  if (session_metrics != nullptr)
-    for (std::size_t trip = 0; trip < n; ++trip)
-      session_metrics->merge(*trip_registries[trip]);
-  finish_live_point(fold, stream.days(), fairness, r);
+  if (session_rec != nullptr) session_rec->set_time_base(base);
+  finish_point(total, trips.days, point.workload == "cbr", r);
   export_tripscope(point, r, own_recorder.get(), session_metrics,
                    own_metrics.get());
   return r;

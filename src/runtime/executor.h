@@ -42,7 +42,7 @@ std::vector<handoff::SlotOutcome> replay_trip(
 /// trip at a time. Counters are exact and sample vectors append in call
 /// order, so folding per-trip partials with merge() *in trip order*
 /// reproduces a sequential accumulation bit for bit — the contract the
-/// sharded executor's byte-identity rests on.
+/// executor's pool-size invariance rests on.
 struct MetricAccumulator {
   std::int64_t slots = 0;
   std::int64_t delivered = 0;
@@ -58,20 +58,21 @@ struct MetricAccumulator {
   void finish(int days, PointResult& r) const;
 };
 
-/// Executes one point end-to-end on the calling thread. The point is the
-/// only input: the executor builds its own Testbed, Simulator and Rng
-/// streams, so concurrent calls never share mutable state.
+/// Executes one point end-to-end on the calling thread: run_point_sharded
+/// on a pool of one. The point is the only input: the executor builds its
+/// own Testbed, Simulator and Rng streams, so concurrent calls never share
+/// mutable state.
 PointResult run_point(const ExperimentPoint& point);
 
-/// City-scale form of run_point for catalog-replay "cbr" points: opens the
-/// catalog as a CatalogStream (manifest only — no trace touches the heap
-/// until its trip runs) and shards the point's trip groups across \p pool's
-/// workers, each loading just its own group. Per-trip partials fold in trip
-/// order, so the result is byte-identical to run_point for any thread
-/// count. Points the sharded path does not cover (stochastic or replay
-/// workloads, TripScope exports, an installed recorder/metrics registry)
-/// fall back to run_point on the calling thread. Throws on trip failure,
-/// like run_point.
+/// Executes one point with its trips sharded across \p pool's workers.
+/// The point's trips (its replay campaign's logged trips, its stochastic
+/// live trips, or its catalog's trip groups, which a live pab point loads
+/// from disk in the trip that replays each group) map to per-trip outcomes
+/// that fold back in trip order, so the result and every TripScope
+/// artifact (trace files, spools, metric columns; the caller's
+/// recorder/registry when one is installed) are byte-identical for any
+/// pool size. A failing trip fails the point with that trip's own
+/// exception; with several, the lowest trip's.
 PointResult run_point_sharded(const ExperimentPoint& point,
                               const Runner& pool);
 

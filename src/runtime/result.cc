@@ -7,6 +7,7 @@
 #include <set>
 #include <sstream>
 
+#include "runtime/experiment.h"
 #include "util/contracts.h"
 
 namespace vifi::runtime {
@@ -58,6 +59,18 @@ std::string csv_escape(const std::string& s) {
 }
 
 }  // namespace
+
+PointResult result_header(const ExperimentPoint& point) {
+  PointResult r;
+  r.index = point.index;
+  r.testbed = point.testbed;
+  r.fleet = point.fleet_size;
+  r.trace_set = point.trace_set;
+  r.policy = point.policy;
+  r.coordination = point.coordination;
+  r.seed = point.seed;
+  return r;
+}
 
 ResultSink::ResultSink(ResultSink&& o) noexcept {
   const std::lock_guard<std::mutex> lock(o.mu_);

@@ -15,6 +15,8 @@
 
 namespace vifi::runtime {
 
+struct ExperimentPoint;
+
 /// Everything one scenario point produced. Scalars go in `metrics`;
 /// fixed-grid vectors (CDF quantiles, per-trip values, slot streams) go in
 /// `series`. Wall-clock timings are deliberately excluded — results must be
@@ -45,6 +47,11 @@ struct PointResult {
   std::map<std::string, std::vector<double>> series;
   std::string error;  ///< Non-empty if the point failed; metrics are empty.
 };
+
+/// A result carrying only \p point's identity columns (index, testbed,
+/// fleet, trace set, policy, coordination, seed): the header every result
+/// row starts from, error rows included.
+PointResult result_header(const ExperimentPoint& point);
 
 /// Thread-safe collector for a sweep's results.
 class ResultSink {

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <atomic>
 #include <exception>
+#include <mutex>
 #include <thread>
 
 #include "runtime/executor.h"
@@ -15,25 +16,26 @@ Runner::Runner(RunnerOptions options) : threads_(options.threads) {
   if (threads_ <= 0) threads_ = 1;
 }
 
-ResultSink Runner::run_indexed(std::size_t n, const IndexFn& fn) const {
-  ResultSink sink;
+void Runner::for_each_index(std::size_t n, const IndexBody& body) const {
   std::atomic<std::size_t> cursor{0};
+  std::atomic<bool> failed{false};
+  std::mutex failure_mu;  // Guards first_failure and error.
+  std::size_t first_failure = n;
+  std::exception_ptr error;
   auto worker = [&] {
-    for (;;) {
+    while (!failed.load(std::memory_order_relaxed)) {
       const std::size_t i = cursor.fetch_add(1, std::memory_order_relaxed);
       if (i >= n) return;
-      PointResult result;
       try {
-        result = fn(i);
-      } catch (const std::exception& e) {
-        // A failed point is recorded, not fatal: the rest of the sweep is
-        // still useful, and the error string is part of the (deterministic)
-        // serialised output.
-        result = PointResult{};
-        result.index = i;
-        result.error = e.what();
+        body(i);
+      } catch (...) {
+        const std::lock_guard<std::mutex> lock(failure_mu);
+        if (i < first_failure) {
+          first_failure = i;
+          error = std::current_exception();
+        }
+        failed.store(true, std::memory_order_relaxed);
       }
-      sink.add(std::move(result));
     }
   };
 
@@ -41,12 +43,31 @@ ResultSink Runner::run_indexed(std::size_t n, const IndexFn& fn) const {
       std::min<std::size_t>(static_cast<std::size_t>(threads_), n));
   if (pool <= 1) {
     worker();
-    return sink;
+  } else {
+    std::vector<std::thread> workers;
+    workers.reserve(static_cast<std::size_t>(pool));
+    for (int t = 0; t < pool; ++t) workers.emplace_back(worker);
+    for (auto& w : workers) w.join();
   }
-  std::vector<std::thread> workers;
-  workers.reserve(static_cast<std::size_t>(pool));
-  for (int t = 0; t < pool; ++t) workers.emplace_back(worker);
-  for (auto& w : workers) w.join();
+  if (error) std::rethrow_exception(error);
+}
+
+ResultSink Runner::run_indexed(std::size_t n, const IndexFn& fn) const {
+  ResultSink sink;
+  for_each_index(n, [&](std::size_t i) {
+    PointResult result;
+    try {
+      result = fn(i);
+    } catch (const std::exception& e) {
+      // A failed point is recorded, not fatal: the rest of the sweep is
+      // still useful, and the error string is part of the (deterministic)
+      // serialised output.
+      result = PointResult{};
+      result.index = i;
+      result.error = e.what();
+    }
+    sink.add(std::move(result));
+  });
   return sink;
 }
 
@@ -60,15 +81,7 @@ ResultSink Runner::run(const std::vector<ExperimentPoint>& points,
       // a bare index is useless for telling which grid point failed.
       // (run_indexed's own catch remains the backstop for failures
       // outside a known point.)
-      const ExperimentPoint& p = points[i];
-      PointResult r;
-      r.index = p.index;
-      r.testbed = p.testbed;
-      r.fleet = p.fleet_size;
-      r.trace_set = p.trace_set;
-      r.policy = p.policy;
-      r.coordination = p.coordination;
-      r.seed = p.seed;
+      PointResult r = result_header(points[i]);
       r.error = e.what();
       return r;
     }

@@ -28,6 +28,7 @@ class Runner {
 
   using PointFn = std::function<PointResult(const ExperimentPoint&)>;
   using IndexFn = std::function<PointResult(std::size_t)>;
+  using IndexBody = std::function<void(std::size_t)>;
 
   /// Number of workers the pool will actually use.
   int threads() const { return threads_; }
@@ -46,6 +47,14 @@ class Runner {
   /// (plus shared *immutable* state) for thread-count invariance, and
   /// should set PointResult::index to the given index.
   ResultSink run_indexed(std::size_t n, const IndexFn& fn) const;
+
+  /// The pool loop every form above runs on: calls \p body once per index
+  /// in [0, n), across the workers (a pool of one runs inline on the
+  /// calling thread). Once an index throws, no further index is claimed;
+  /// after the join the lowest failing index's exception is rethrown
+  /// as it was thrown — every lower index had been claimed already, so
+  /// which failure surfaces does not depend on the worker count.
+  void for_each_index(std::size_t n, const IndexBody& body) const;
 
  private:
   int threads_;

@@ -252,8 +252,8 @@ TEST(StreamSink, KeepsFullFidelityWhereTheRingWraps) {
 
 TEST(StreamSink, AbsorbReproducesADirectRecordingsSpoolBytes) {
   const fs::path dir = temp_dir("vifi_stream_absorb");
-  // Direct: two trips recorded sequentially under set_time_base, exactly
-  // as run_cbr does.
+  // Direct: two trips recorded sequentially under set_time_base, one
+  // recorder for the whole timeline.
   TraceRecorder direct(
       std::make_unique<StreamSink>((dir / "direct.spool").string()));
   record_schedule(direct, 5, 300);
@@ -261,8 +261,8 @@ TEST(StreamSink, AbsorbReproducesADirectRecordingsSpoolBytes) {
   record_schedule(direct, 6, 300);
   direct.finalize();
 
-  // Stitched: per-trip part spools absorbed in trip order, exactly as
-  // run_point_sharded does.
+  // Stitched: per-trip part spools absorbed in trip order, exactly as the
+  // executor folds a streamed point's trips.
   TraceRecorder session(
       std::make_unique<StreamSink>((dir / "session.spool").string()));
   {

@@ -4,6 +4,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cctype>
+#include <cstdio>
+#include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
@@ -262,9 +266,9 @@ TEST(Executor, ReplayPointProducesTheStandardMetricSet) {
   EXPECT_LE(r.metrics.at("delivery_rate"), 1.0);
 }
 
-// The tentpole contract of the streaming/sharded executor: for a catalog
-// replay point it is a drop-in for run_point — same metrics, same series,
-// byte for byte — while loading one trip group at a time across workers.
+// Pool-size invariance of the executor on a catalog replay point: four
+// workers, each loading only its own trip groups, reproduce the pool of
+// one (run_point) byte for byte.
 TEST(Executor, ShardedCatalogPointMatchesSequentialByteForByte) {
   namespace fs = std::filesystem;
   const fs::path dir = fs::temp_directory_path() / "vifi_test_sharded_catalog";
@@ -302,11 +306,10 @@ TEST(Executor, ShardedCatalogPointMatchesSequentialByteForByte) {
   EXPECT_EQ(a.to_csv(), b.to_csv());
 }
 
-// Regression for the sharded executor's instrumented gap: points carrying
-// a TripScope session (trace dump and/or metric columns) used to fall back
-// to the sequential path wholesale; now they shard too, stitching per-trip
-// recorders/registries in trip order. The whole output — result bytes AND
-// every exported trace file — must match the sequential executor exactly.
+// Points carrying a TripScope session (trace dump and/or metric columns)
+// shard too, stitching per-trip recorders/registries in trip order. The
+// whole output — result bytes AND every exported trace file — must match
+// the pool of one exactly.
 TEST(Executor, ShardedInstrumentedPointMatchesSequentialByteForByte) {
   namespace fs = std::filesystem;
   const fs::path dir = fs::temp_directory_path() / "vifi_test_sharded_instr";
@@ -354,7 +357,7 @@ TEST(Executor, ShardedInstrumentedPointMatchesSequentialByteForByte) {
   b.add(sharded);
   EXPECT_EQ(a.to_json(), b.to_json());
 
-  // Every exported trace artifact is byte-identical across the two paths.
+  // Every exported trace artifact is byte-identical across pool sizes.
   auto slurp = [](const fs::path& p) {
     std::ifstream in(p, std::ios::binary);
     EXPECT_TRUE(in.good()) << p;
@@ -427,15 +430,236 @@ TEST(Executor, UnknownCoordinationFailsLoudly) {
   EXPECT_THROW(run_point(spec.enumerate().front()), std::runtime_error);
 }
 
-TEST(Executor, ShardedFallsBackForUncoveredShapes) {
-  // Stochastic replay points have no catalog to shard; the sharded entry
-  // point must still produce the sequential executor's exact result.
-  const ExperimentPoint point = small_replay_spec().enumerate().front();
-  ResultSink a, b;
-  a.add(run_point(point));
-  b.add(run_point_sharded(point, Runner({.threads = 2})));
-  EXPECT_EQ(a.to_json(), b.to_json());
-  EXPECT_EQ(a.to_csv(), b.to_csv());
+TEST(Executor, ShardedStochasticShapesMatchSequential) {
+  // Stochastic points have no catalog, yet they shard too: their trips
+  // are functions of (point seed, trip index), so the sharded entry point
+  // must reproduce the sequential executor's exact result.
+  ExperimentSpec live;
+  live.grid.testbeds = {"VanLAN"};
+  live.grid.fleet_sizes = {3};
+  live.grid.policies = {"ViFi"};
+  live.grid.seeds = {1};
+  live.days = 1;
+  live.trips_per_day = 2;
+  live.trip_duration = Time::seconds(10.0);
+  live.workload = "cbr";
+  for (const ExperimentPoint& point : {small_replay_spec().enumerate().front(),
+                                       live.enumerate().front()}) {
+    ResultSink a, b;
+    a.add(run_point(point));
+    b.add(run_point_sharded(point, Runner({.threads = 2})));
+    EXPECT_TRUE(a.ordered().front().error.empty()) << point.workload;
+    EXPECT_EQ(a.to_json(), b.to_json()) << point.workload;
+    EXPECT_EQ(a.to_csv(), b.to_csv()) << point.workload;
+  }
+}
+
+// A trip that fails mid-point fails the whole point with that trip's own
+// exception — type and message — whatever the pool size, so sweep error
+// rows are byte-identical with and without trip sharding. Which of several
+// defects is reported depends on the point shape alone: streamed (pab)
+// points meet trace-level defects in trip order, so a ragged trip 0 wins
+// over a damaged trip 2; coord points load the whole catalog up front, and
+// the eager loader parses every trace before it checks durations.
+TEST(Executor, DamagedCatalogErrorRowIsPoolSizeInvariant) {
+  namespace fs = std::filesystem;
+  const fs::path dir = fs::temp_directory_path() / "vifi_test_damaged_catalog";
+  const struct {
+    bool ragged;  // Also stretch trip 0's second trace by a second.
+    const char* coordination;
+    const char* reported;
+    const char* hidden;
+  } cases[] = {
+      {false, "", "trace parse error", "is ragged"},
+      {true, "pab", "(day 0, trip 0) is ragged", "trace parse error"},
+      {true, "coord", "trace parse error", "is ragged"},
+  };
+  for (const auto& c : cases) {
+    // DieselNet-Ch1 V=2, three 10 s trips, trip 2's second trace truncated.
+    fs::remove_all(dir);
+    const scenario::Testbed bed = make_testbed("DieselNet-Ch1", 2);
+    scenario::CampaignConfig cfg;
+    cfg.days = 1;
+    cfg.trips_per_day = 3;
+    cfg.trip_duration = Time::seconds(10.0);
+    cfg.seed = 5;
+    cfg.log_probes = false;
+    trace::Campaign campaign = scenario::generate_campaign(bed, cfg);
+    if (c.ragged) campaign.trips[1].duration += Time::seconds(1.0);
+    tracegen::write_catalog(dir.string(), "damaged", campaign);
+    const fs::path victim = dir / "day0_trip2_veh11.vifitrace";
+    ASSERT_TRUE(fs::exists(victim));
+    fs::resize_file(victim, 40);
+
+    ExperimentSpec spec;
+    spec.grid.testbeds = {"DieselNet-Ch1"};
+    spec.grid.fleet_sizes = {2};
+    spec.grid.trace_sets = {dir.string()};
+    spec.grid.policies = {"ViFi"};
+    if (*c.coordination != '\0') spec.grid.coordinations = {c.coordination};
+    spec.grid.seeds = {1};
+    spec.workload = "cbr";
+    const std::vector<ExperimentPoint> points = spec.enumerate();
+
+    // Runner at 1 and 4 threads, and run_point_sharded on pools of 1 and 4.
+    std::vector<std::string> sweeps;
+    for (const int threads : {1, 4}) {
+      tracegen::drop_catalog_cache();
+      sweeps.push_back(Runner({.threads = threads}).run(spec).to_json());
+      const Runner pool({.threads = threads});
+      sweeps.push_back(Runner({.threads = 1})
+                           .run(points,
+                                [&](const ExperimentPoint& p) {
+                                  return run_point_sharded(p, pool);
+                                })
+                           .to_json());
+    }
+    tracegen::drop_catalog_cache();
+    fs::remove_all(dir);
+    EXPECT_NE(sweeps[0].find("\"error\": \"catalog error ("), std::string::npos)
+        << sweeps[0];
+    EXPECT_NE(sweeps[0].find(c.reported), std::string::npos) << sweeps[0];
+    EXPECT_EQ(sweeps[0].find(c.hidden), std::string::npos) << sweeps[0];
+    for (std::size_t i = 1; i < sweeps.size(); ++i)
+      EXPECT_EQ(sweeps[0], sweeps[i]) << c.coordination << " run " << i;
+  }
+}
+
+std::uint64_t fnv1a(std::uint64_t h, const std::string& bytes) {
+  for (const unsigned char c : bytes) {
+    h ^= c;
+    h *= 1099511628211ull;
+  }
+  return h;
+}
+
+/// \p text with every number rewritten to 10 significant digits, so a
+/// digest pins what the program computes rather than the last bits a
+/// particular compiler, optimisation level or libm gives a double.
+std::string round_numbers(const std::string& text) {
+  const auto digit = [&](std::size_t i) {
+    return i < text.size() &&
+           std::isdigit(static_cast<unsigned char>(text[i])) != 0;
+  };
+  std::string out;
+  for (std::size_t i = 0; i < text.size();) {
+    const bool word = i > 0 && (std::isalnum(static_cast<unsigned char>(
+                                    text[i - 1])) != 0 ||
+                                text[i - 1] == '_' || text[i - 1] == '.');
+    if (word || !(digit(i) || (text[i] == '-' && digit(i + 1)))) {
+      out += text[i++];
+      continue;
+    }
+    char* end = nullptr;
+    const double v = std::strtod(text.c_str() + i, &end);
+    char buf[32];
+    std::snprintf(buf, sizeof(buf), "%.10g", v);
+    out += buf;
+    i = static_cast<std::size_t>(end - text.c_str());
+  }
+  return out;
+}
+
+/// FNV-1a over a point's result JSON and every file it exported into
+/// \p trace_dir (name, then bytes, in name order), numbers rounded by
+/// round_numbers. The catalog path is replaced by its directory name, so
+/// the digest does not depend on where the temporary directory lives.
+std::uint64_t point_digest(PointResult r, const std::filesystem::path& trace_dir) {
+  namespace fs = std::filesystem;
+  if (!r.trace_set.empty())
+    r.trace_set = fs::path(r.trace_set).filename().string();
+  ResultSink sink;
+  sink.add(std::move(r));
+  std::uint64_t h = fnv1a(14695981039346656037ull, round_numbers(sink.to_json()));
+  std::vector<fs::path> files;
+  if (fs::exists(trace_dir))
+    for (const auto& entry : fs::directory_iterator(trace_dir))
+      files.push_back(entry.path());
+  std::sort(files.begin(), files.end());
+  for (const fs::path& f : files) {
+    std::ifstream in(f, std::ios::binary);
+    std::ostringstream bytes;
+    bytes << in.rdbuf();
+    h = fnv1a(h, f.filename().string());
+    h = fnv1a(h, round_numbers(bytes.str()));
+  }
+  return h;
+}
+
+// Pins the executor's output bytes — results and trace exports — for the
+// three point shapes it runs: a stochastic §3.1 replay point, a stochastic
+// live fleet point with a TripScope session, and a catalog coord point.
+// The constants were produced by the executor as it stood before the
+// sequential and sharded paths were merged, so they carry the guarantee
+// the old sequential-vs-sharded comparisons gave. Each point must match
+// through run_point and through run_point_sharded on four workers.
+TEST(Executor, GoldenPointDigests) {
+  namespace fs = std::filesystem;
+  const fs::path dir = fs::temp_directory_path() / "vifi_test_golden";
+  fs::remove_all(dir);
+
+  ExperimentSpec replay = small_replay_spec();
+  replay.grid.fleet_sizes = {2};
+  replay.grid.policies = {"BRR"};
+  replay.grid.seeds = {1};
+  replay.trips_per_day = 2;
+  replay.trip_duration = Time::seconds(20.0);
+
+  ExperimentSpec live;
+  live.grid.testbeds = {"VanLAN"};
+  live.grid.fleet_sizes = {4};
+  live.grid.policies = {"ViFi"};
+  live.grid.seeds = {1};
+  live.days = 1;
+  live.trips_per_day = 2;
+  live.trip_duration = Time::seconds(10.0);
+  live.workload = "cbr";
+  live.metric_columns = {"mac.transmissions", "core.salvaged"};
+
+  const scenario::Testbed bed = make_testbed("DieselNet-Ch1", 2);
+  scenario::CampaignConfig cfg;
+  cfg.days = 1;
+  cfg.trips_per_day = 3;
+  cfg.trip_duration = Time::seconds(10.0);
+  cfg.seed = 42;
+  cfg.log_probes = false;
+  tracegen::write_catalog((dir / "catalog").string(), "golden",
+                          scenario::generate_campaign(bed, cfg));
+  ExperimentSpec coord;
+  coord.grid.testbeds = {"DieselNet-Ch1"};
+  coord.grid.fleet_sizes = {2};
+  coord.grid.trace_sets = {(dir / "catalog").string()};
+  coord.grid.policies = {"ViFi"};
+  coord.grid.coordinations = {"coord"};
+  coord.grid.seeds = {1};
+  coord.workload = "cbr";
+
+  const struct {
+    const char* name;
+    ExperimentSpec spec;
+    std::uint64_t digest;
+  } cases[] = {
+      {"replay", replay, 0xb0ac33638de1eb32ull},
+      {"live", live, 0xf2a22ad6ad972ac9ull},
+      {"coord", coord, 0x032306ccfa07d71full},
+  };
+  for (const auto& c : cases) {
+    ExperimentPoint point = c.spec.enumerate().front();
+    for (const bool sharded : {false, true}) {
+      point.trace_dir =
+          (dir / (std::string(c.name) + (sharded ? "_sharded" : ""))).string();
+      tracegen::drop_catalog_cache();
+      const PointResult r = sharded
+                                ? run_point_sharded(point, Runner({.threads = 4}))
+                                : run_point(point);
+      EXPECT_TRUE(r.error.empty()) << c.name << ": " << r.error;
+      const std::uint64_t got = point_digest(r, point.trace_dir);
+      EXPECT_EQ(got, c.digest) << c.name << (sharded ? " sharded" : "")
+                               << ": got 0x" << std::hex << got;
+    }
+  }
+  tracegen::drop_catalog_cache();
+  fs::remove_all(dir);
 }
 
 TEST(Executor, UnknownWorkloadOrPolicyIsAContractViolation) {
