@@ -55,6 +55,12 @@ void PabTable::tick_second(Time now) {
     }
     n.count_this_second = 0;
   }
+  // Staleness only grows with time and every reader already treats a stale
+  // entry as absent, so dropping it here changes no answer; a later report
+  // re-inserts the pair exactly as an overwrite would have set it.
+  std::erase_if(remote_, [now](const Remote& r) {
+    return stale(r.last_update, now);
+  });
 }
 
 double PabTable::incoming(NodeId from, Time now, double fallback) const {

@@ -5,11 +5,10 @@
 #include <filesystem>
 #include <fstream>
 #include <functional>
-#include <map>
+#include <future>
 #include <memory>
-#include <optional>
-
 #include <mutex>
+#include <optional>
 #include <stdexcept>
 
 #include "analysis/sessions.h"
@@ -69,36 +68,87 @@ std::shared_ptr<const tracegen::TraceCatalog> resolve_catalog(
   return catalog;
 }
 
+/// What a memoised campaign is a pure function of: the generator's inputs
+/// for a generated campaign, or the catalog a catalog copy is made from.
+/// A catalog compares by address, and the key pins it, so the address
+/// cannot be recycled under a cached key even after
+/// tracegen::drop_catalog_cache().
+struct CampaignKey {
+  std::string testbed;
+  int fleet_size = 0;
+  scenario::CampaignConfig config;
+  std::shared_ptr<const tracegen::TraceCatalog> catalog;
+
+  bool operator==(const CampaignKey&) const = default;
+};
+
+/// The executor's one campaign cache (see shared_campaign in the header):
+/// returns the campaign under \p key, running \p make for it on a miss.
+std::shared_ptr<const trace::Campaign> memo_campaign(
+    CampaignKey key, const std::function<trace::Campaign()>& make) {
+  using Future = std::shared_future<std::shared_ptr<const trace::Campaign>>;
+  struct Entry {
+    CampaignKey key;
+    Future campaign;
+    std::uint64_t id = 0;        // the lookup that inserted it
+    std::uint64_t last_use = 0;  // the lookup that last returned it
+  };
+  // Two entries cover a grid's alternation between consecutive seeds of
+  // one testbed (points enumerate testbed -> policy -> seed).
+  constexpr std::size_t kMaxCachedCampaigns = 2;
+  static std::mutex mu;
+  static std::vector<Entry> memo;
+  static std::uint64_t lookups = 0;
+
+  std::promise<std::shared_ptr<const trace::Campaign>> promise;
+  Future campaign;
+  std::uint64_t owned = 0;  // nonzero: this call generates entry `owned`
+  {
+    const std::lock_guard<std::mutex> lock(mu);
+    const std::uint64_t now = ++lookups;
+    const auto hit = std::ranges::find(memo, key, &Entry::key);
+    if (hit != memo.end()) {
+      hit->last_use = now;
+      campaign = hit->campaign;
+    } else {
+      // Evict before generating, so a miss holds at most one campaign
+      // beyond the bound while it builds the new one.
+      if (memo.size() >= kMaxCachedCampaigns)
+        memo.erase(std::ranges::min_element(memo, {}, &Entry::last_use));
+      campaign = promise.get_future().share();
+      memo.push_back({std::move(key), campaign, now, now});
+      owned = now;
+    }
+  }
+  if (owned == 0) return campaign.get();  // Rethrows a failed generation.
+  try {
+    promise.set_value(std::make_shared<const trace::Campaign>(make()));
+  } catch (...) {
+    // A failure is not cached: drop the entry (unless already evicted)
+    // before waking the waiters, so a retry generates afresh.
+    {
+      const std::lock_guard<std::mutex> lock(mu);
+      std::erase_if(memo, [owned](const Entry& e) { return e.id == owned; });
+    }
+    promise.set_exception(std::current_exception());
+  }
+  return campaign.get();
+}
+
 /// One Campaign copy per catalog (not per point): the §3.1 replay path
 /// needs trips by value (HistoryPolicy consumes a Campaign), and a
 /// policies x seeds sweep over one catalog must not deep-copy every
-/// trace per point. Lifetime mirrors the catalog cache's.
+/// trace per point.
 std::shared_ptr<const trace::Campaign> catalog_campaign(
     const std::shared_ptr<const tracegen::TraceCatalog>& catalog) {
-  struct Entry {
-    // Pins the catalog so its address cannot be recycled under this key
-    // even after tracegen::drop_catalog_cache().
-    std::shared_ptr<const tracegen::TraceCatalog> catalog;
-    std::shared_ptr<const trace::Campaign> campaign;
-  };
-  static std::mutex mu;
-  static std::map<const tracegen::TraceCatalog*, Entry> cache;
-  const std::lock_guard<std::mutex> lock(mu);
-  // Bounded: a sweep touches a handful of catalogs; once past the cap
-  // (someone iterating many catalogs in one process), drop the lot
-  // rather than pin every catalog's copy forever.
-  constexpr std::size_t kMaxCachedCatalogs = 8;
-  if (cache.size() >= kMaxCachedCatalogs &&
-      cache.find(catalog.get()) == cache.end())
-    cache.clear();
-  Entry& slot = cache[catalog.get()];
-  if (slot.campaign == nullptr) {
-    auto campaign = std::make_shared<trace::Campaign>();
-    campaign->testbed = catalog->testbed();
-    campaign->trips = catalog->traces();
-    slot = {catalog, std::move(campaign)};
-  }
-  return slot.campaign;
+  CampaignKey key;
+  key.catalog = catalog;
+  return memo_campaign(std::move(key), [&catalog] {
+    trace::Campaign campaign;
+    campaign.testbed = catalog->testbed();
+    campaign.trips = catalog->traces();
+    return campaign;
+  });
 }
 
 /// Everything one trip contributes to its point: the shared metric
@@ -161,8 +211,8 @@ PointTrips replay_trips(const ExperimentPoint& point,
     cfg.seed = point.campaign_seed;
     cfg.log_probes = true;
     cfg.log_bs_beacons = false;
-    campaign = std::make_shared<const trace::Campaign>(
-        scenario::generate_campaign(bed, cfg));
+    // Policy twins share the campaign seed: one generation serves them all.
+    campaign = shared_campaign(point.testbed, point.fleet_size, cfg);
   } else {
     const auto catalog = resolve_catalog(point, bed);
     // §3.1 policy replay consumes 100 ms probe slots; beacon-only
@@ -235,7 +285,6 @@ core::SystemConfig live_system_config(const ExperimentPoint& point,
 /// twins of a point replay identical trips (experiment.cc keeps the axis
 /// out of both campaign_seed and point_seed).
 void seed_coordination(const ExperimentPoint& point,
-                       const scenario::Testbed& bed,
                        const tracegen::TraceCatalog* catalog,
                        core::SystemConfig& sys) {
   if (point.coordination.empty() || point.coordination == "pab") return;
@@ -244,7 +293,7 @@ void seed_coordination(const ExperimentPoint& point,
                              "' (expected pab/coord)");
   sys.coord.enabled = true;
   std::vector<const trace::MeasurementTrace*> trips;
-  trace::Campaign history_campaign;
+  std::shared_ptr<const trace::Campaign> history_campaign;
   if (catalog != nullptr) {
     trips.reserve(catalog->traces().size());
     for (const trace::MeasurementTrace& t : catalog->traces())
@@ -257,9 +306,9 @@ void seed_coordination(const ExperimentPoint& point,
     cfg.seed = mix_seed(point.campaign_seed, "coord-history");
     cfg.log_probes = false;
     cfg.log_bs_beacons = false;
-    history_campaign = scenario::generate_campaign(bed, cfg);
-    trips.reserve(history_campaign.trips.size());
-    for (const trace::MeasurementTrace& t : history_campaign.trips)
+    history_campaign = shared_campaign(point.testbed, point.fleet_size, cfg);
+    trips.reserve(history_campaign->trips.size());
+    for (const trace::MeasurementTrace& t : history_campaign->trips)
       trips.push_back(&t);
   }
   sys.coord.history = coord::fit_history(trips);
@@ -331,7 +380,7 @@ PointTrips live_trips(const ExperimentPoint& point,
                            stream->fleet_size(), stream->vehicle_ids());
   }
   core::SystemConfig sys = live_system_config(point, bed);
-  seed_coordination(point, bed, catalog.get(), sys);
+  seed_coordination(point, catalog.get(), sys);
   // Catalog points run every trip group exactly once; the point's
   // days/trips knobs describe generated campaigns only.
   const std::size_t count =
@@ -493,6 +542,15 @@ const std::vector<std::string>& replay_policy_names() {
   static const std::vector<std::string> names{
       "AllBSes", "BestBS", "History", "RSSI", "BRR", "Sticky"};
   return names;
+}
+
+std::shared_ptr<const trace::Campaign> shared_campaign(
+    const std::string& testbed, int fleet_size,
+    const scenario::CampaignConfig& config) {
+  return memo_campaign({testbed, fleet_size, config, nullptr}, [&] {
+    return scenario::generate_campaign(make_testbed(testbed, fleet_size),
+                                       config);
+  });
 }
 
 const std::vector<double>& cdf_quantiles() {

@@ -8,6 +8,7 @@
 /// packets/day, session lengths, throughput CDF quantiles, MOS).
 
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -15,6 +16,7 @@
 #include "handoff/replay.h"
 #include "runtime/experiment.h"
 #include "runtime/result.h"
+#include "scenario/campaign.h"
 #include "trace/observations.h"
 
 namespace vifi::runtime {
@@ -38,6 +40,21 @@ std::vector<handoff::SlotOutcome> replay_trip(
     const trace::MeasurementTrace& trip, const std::string& policy,
     const trace::Campaign& campaign);
 
+/// The campaign generate_campaign(make_testbed(testbed, fleet_size), config)
+/// returns, from the executor's process-wide campaign memo. Equal arguments
+/// share one immutable Campaign: policy twins of a point (same campaign
+/// seed) replay the very same object. Concurrent requests for one cold key
+/// are single-flight — one caller generates, the others wait for it — and a
+/// generation that throws is not cached: its exception reaches every
+/// waiter. The memo holds at most two campaigns (catalog copies included)
+/// and evicts the least recently used one before a new generation starts.
+/// Points enumerate testbed -> policy -> seed, so a grid with at most two
+/// seeds per testbed generates each campaign once; with more seeds, only
+/// points that run at the same time share one.
+std::shared_ptr<const trace::Campaign> shared_campaign(
+    const std::string& testbed, int fleet_size,
+    const scenario::CampaignConfig& config);
+
 /// Accumulates the metric set shared by replay and live workloads, one
 /// trip at a time. Counters are exact and sample vectors append in call
 /// order, so folding per-trip partials with merge() *in trip order*
@@ -60,8 +77,8 @@ struct MetricAccumulator {
 
 /// Executes one point end-to-end on the calling thread: run_point_sharded
 /// on a pool of one. The point is the only input: the executor builds its
-/// own Testbed, Simulator and Rng streams, so concurrent calls never share
-/// mutable state.
+/// own Testbed, Simulator and Rng streams, so concurrent calls share no
+/// mutable state beyond the thread-safe campaign memo.
 PointResult run_point(const ExperimentPoint& point);
 
 /// Executes one point with its trips sharded across \p pool's workers.

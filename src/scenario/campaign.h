@@ -27,6 +27,8 @@ struct CampaignConfig {
   /// Log BS-to-BS beacons (possible only on VanLAN, §5.1 validation).
   bool log_bs_beacons = false;
   int beacons_per_second = 10;
+
+  bool operator==(const CampaignConfig&) const = default;
 };
 
 /// Runs the campaign: days x trips_per_day independent trips, each with a

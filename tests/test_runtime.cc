@@ -5,14 +5,17 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <cctype>
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <latch>
 #include <sstream>
 #include <set>
 #include <stdexcept>
+#include <thread>
 
 #include "runtime/executor.h"
 #include "runtime/runner.h"
@@ -660,6 +663,112 @@ TEST(Executor, GoldenPointDigests) {
   }
   tracegen::drop_catalog_cache();
   fs::remove_all(dir);
+}
+
+/// The campaign config a stochastic §3.1 replay point generates from.
+scenario::CampaignConfig replay_config(const ExperimentPoint& p) {
+  scenario::CampaignConfig cfg;
+  cfg.days = p.days;
+  cfg.trips_per_day = p.trips_per_day;
+  cfg.trip_duration = p.trip_duration;
+  cfg.seed = p.campaign_seed;
+  cfg.log_probes = true;
+  return cfg;
+}
+
+/// A short one-day VanLAN campaign, distinct for every \p seed.
+scenario::CampaignConfig short_config(std::uint64_t seed) {
+  scenario::CampaignConfig cfg;
+  cfg.days = 1;
+  cfg.trips_per_day = 2;
+  cfg.trip_duration = Time::seconds(10.0);
+  cfg.seed = seed;
+  return cfg;
+}
+
+// Each test below uses campaign seeds of its own, so its keys start cold
+// whatever ran earlier in the process.
+TEST(SharedCampaign, PolicyTwinsShareOneObjectAndSeedsDoNot) {
+  ExperimentSpec spec = small_replay_spec();
+  spec.grid.policies = {"AllBSes", "History", "Sticky"};
+  spec.base_seed = 16001;
+  spec.trip_duration = Time::seconds(10.0);
+  const auto points = spec.enumerate();  // policy-major, seeds fastest
+  ASSERT_EQ(points.size(), 6u);
+  std::vector<std::shared_ptr<const trace::Campaign>> got;
+  for (const ExperimentPoint& p : points)
+    got.push_back(shared_campaign(p.testbed, p.fleet_size, replay_config(p)));
+  for (std::size_t i = 2; i < got.size(); ++i)
+    EXPECT_EQ(got[i], got[i % 2]) << "point " << i;
+  EXPECT_NE(got[0], got[1]);
+  EXPECT_EQ(got[0]->trips.size(), 1u);
+  EXPECT_EQ(got[0]->testbed, "VanLAN");
+}
+
+TEST(SharedCampaign, ConcurrentColdRequestsGenerateOnce) {
+  constexpr int kThreads = 8;
+  std::vector<std::shared_ptr<const trace::Campaign>> got(kThreads);
+  std::latch start(kThreads);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t)
+    threads.emplace_back([&, t] {
+      start.arrive_and_wait();
+      got[t] = shared_campaign("VanLAN", 1, short_config(16002));
+    });
+  for (std::thread& t : threads) t.join();
+  ASSERT_NE(got[0], nullptr);
+  for (const auto& c : got) EXPECT_EQ(c, got[0]);
+}
+
+TEST(SharedCampaign, FailedGenerationReachesEveryWaiterAndIsNotCached) {
+  const auto a = shared_campaign("VanLAN", 1, short_config(16003));
+  const auto b = shared_campaign("VanLAN", 1, short_config(16004));
+  scenario::CampaignConfig bad = short_config(16005);
+  bad.days = 0;  // generate_campaign rejects it
+  constexpr int kThreads = 8;
+  std::atomic<int> failures{0};
+  std::latch start(kThreads);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t)
+    threads.emplace_back([&] {
+      start.arrive_and_wait();
+      try {
+        shared_campaign("VanLAN", 1, bad);
+      } catch (const ContractViolation&) {
+        ++failures;
+      }
+    });
+  for (std::thread& t : threads) t.join();
+  EXPECT_EQ(failures.load(), kThreads);
+  EXPECT_THROW(shared_campaign("VanLAN", 1, bad), ContractViolation);
+  // The failed key evicted `a` but holds no slot itself: a new key fits
+  // beside `b` without evicting it. A cached failure would have been the
+  // more recent entry, and `b` would go.
+  shared_campaign("VanLAN", 1, short_config(16006));
+  EXPECT_EQ(shared_campaign("VanLAN", 1, short_config(16004)), b);
+  EXPECT_NE(shared_campaign("VanLAN", 1, short_config(16003)), a);
+}
+
+TEST(SharedCampaign, ReplayPointBytesMatchColdWarmAndAfterEviction) {
+  ExperimentSpec spec = small_replay_spec();
+  spec.grid.policies = {"History"};  // reads the whole campaign
+  spec.grid.seeds = {1};
+  spec.base_seed = 16007;
+  spec.trips_per_day = 2;
+  spec.trip_duration = Time::seconds(20.0);
+  const ExperimentPoint point = spec.enumerate().front();
+  const auto digest = [&point] { return point_digest(run_point(point), {}); };
+  const std::uint64_t cold = digest();
+  const auto held = shared_campaign(point.testbed, point.fleet_size,
+                                    replay_config(point));
+  EXPECT_EQ(digest(), cold);
+  // Two new keys evict everything the two-entry memo held.
+  shared_campaign("VanLAN", 1, short_config(16008));
+  shared_campaign("VanLAN", 1, short_config(16009));
+  EXPECT_EQ(digest(), cold);
+  EXPECT_NE(shared_campaign(point.testbed, point.fleet_size,
+                            replay_config(point)),
+            held);
 }
 
 TEST(Executor, UnknownWorkloadOrPolicyIsAContractViolation) {
